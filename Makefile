@@ -1,12 +1,16 @@
 GO ?= go
 
-.PHONY: build test vet lint test-analysis race check bench bench-sparse bench-dual bench-benders serve-test bench-serve bench-fleet
+.PHONY: build test fmt vet lint test-analysis race check bench bench-sparse bench-dual bench-benders serve-test bench-serve bench-fleet
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# gofmt must list no file; formatting drift fails the check gate.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -30,18 +34,19 @@ test-analysis:
 race:
 	$(GO) test -race ./...
 
-check: vet lint test-analysis race
+check: fmt vet lint test-analysis race
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
-# Smoke-run the sparse-core benchmarks (solve wall-clock vs the dense/full-
-# pricing path, plus model-build allocations); baselines in BENCH_sparse.json.
+# Smoke-run the sparse-core benchmarks: the 5-stage SRRP LP relaxation under
+# candidate-list vs full pricing (objectives cross-checked in-bench), plus
+# model-build allocations.
 bench-sparse:
 	$(GO) test -run '^$$' -bench 'BenchmarkSparseVsDenseSRRP|BenchmarkSRRPModelBuild' -benchtime 1x .
 
 # Smoke-run the dual-simplex warm re-solve benchmark (branching children of
-# the BENCH_sparse instance, dual vs primal-repair vs cold); baselines in
+# the bench-sparse instance, dual vs primal-repair vs cold); baselines in
 # BENCH_dual.json. The benchmark itself enforces the >= 2x iteration
 # reduction acceptance threshold.
 bench-dual:

@@ -337,46 +337,25 @@ func BenchmarkWarmVsColdSRRP(b *testing.B) {
 	}
 }
 
-// denseTwinLP materialises a sparse-backed LP's rows into the dense A
-// representation, for A/B benchmarking of the sparse solver path against the
-// historical dense one on the identical model.
-func denseTwinLP(p *lp.Problem) *lp.Problem {
-	q := p.Clone()
-	rows := q.SA
-	q.SA = nil
-	n := len(q.C)
-	q.A = make([][]float64, 0, len(rows))
-	for _, r := range rows {
-		row := make([]float64, n)
-		for t, j := range r.Ix {
-			row[j] = r.V[t]
-		}
-		q.A = append(q.A, row)
-	}
-	return q
-}
-
-// BenchmarkSparseVsDenseSRRP is the headline for the sparse simplex core: the
-// LP relaxation of the 5-stage/branch-3 SRRP deterministic equivalent (364
-// tree vertices, one stage deeper than the warm-start baseline could afford)
-// solved by the sparse CSC + candidate-list path versus the historical
-// dense-storage full-pricing path. Both must reach the identical optimum; the
-// wall-clock ratio is the acceptance metric recorded in BENCH_sparse.json.
+// BenchmarkSparseVsDenseSRRP times the LP relaxation of the 5-stage/branch-3
+// SRRP deterministic equivalent (364 tree vertices) under both pricing
+// modes on the same model: candidate-list pricing with the sparse
+// triangular refactorisation (the default), and full Dantzig pricing with
+// dense Gauss–Jordan refactorisation (Options.FullPricing). Both must reach
+// the same optimum.
 func BenchmarkSparseVsDenseSRRP(b *testing.B) {
 	par, tree, dem := srrpInstance(b, 5, 3)
 	prob, _, err := core.BuildSRRPMILP(par, tree, dem)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sparseLP := prob.LP
-	denseLP := denseTwinLP(sparseLP)
 	objs := map[string]float64{}
-	run := func(name string, p *lp.Problem, opts lp.Options) {
+	run := func(name string, opts lp.Options) {
 		b.Run(name, func(b *testing.B) {
 			var sol *lp.Solution
 			for i := 0; i < b.N; i++ {
 				var err error
-				sol, err = lp.SolveWithOptions(p, opts)
+				sol, err = lp.SolveWithOptions(prob.LP, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -391,101 +370,29 @@ func BenchmarkSparseVsDenseSRRP(b *testing.B) {
 			b.ReportMetric(float64(sol.NNZ), "nnz")
 		})
 	}
-	run("sparse", sparseLP, lp.Options{})
-	run("dense-fullpricing", denseLP, lp.Options{FullPricing: true})
+	run("candidate", lp.Options{})
+	run("fullpricing", lp.Options{FullPricing: true})
 	// A -bench filter may run only one sub-benchmark; cross-check only when
 	// both objectives were recorded.
 	if len(objs) == 2 {
-		if sOb, dOb := objs["sparse"], objs["dense-fullpricing"]; math.Abs(sOb-dOb) > 1e-7*(1+math.Abs(dOb)) {
-			b.Fatalf("objective mismatch: sparse %.12g vs dense/full %.12g", sOb, dOb)
+		if cOb, fOb := objs["candidate"], objs["fullpricing"]; math.Abs(cOb-fOb) > 1e-7*(1+math.Abs(fOb)) {
+			b.Fatalf("objective mismatch: candidate %.12g vs full pricing %.12g", cOb, fOb)
 		}
 	}
 }
 
-// BenchmarkSRRPModelBuild measures model-construction allocations on the same
-// 5-stage/branch-3 instance: the sparse row builder (O(nnz) per row) against
-// a replica of the historical dense construction (O(n) per row). The B/op
-// ratio is the second acceptance metric in BENCH_sparse.json.
+// BenchmarkSRRPModelBuild measures model-construction time and allocations
+// of the sparse row builder (O(nnz) per row) on the same 5-stage/branch-3
+// instance.
 func BenchmarkSRRPModelBuild(b *testing.B) {
 	par, tree, dem := srrpInstance(b, 5, 3)
-	b.Run("sparse", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.BuildSRRPMILP(par, tree, dem); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := core.BuildSRRPMILP(par, tree, dem); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("dense-replica", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buildSRRPDenseReplica(b, par, tree, dem)
-		}
-	})
-}
-
-// buildSRRPDenseReplica rebuilds the SRRP deterministic equivalent exactly as
-// the model builders did before the sparse row API: one dense O(n) row per
-// constraint appended to lp.Problem.A.
-func buildSRRPDenseReplica(b *testing.B, par core.Params, tree *scenario.Tree, dem []float64) *mip.Problem {
-	b.Helper()
-	n := tree.N()
-	nv := 3 * n
-	alpha := func(v int) int { return v }
-	beta := func(v int) int { return n + v }
-	chi := func(v int) int { return 2*n + v }
-	S := tree.Stages()
-	remaining := make([]float64, S+1)
-	for s := S - 1; s >= 0; s-- {
-		remaining[s] = remaining[s+1] + dem[s]
 	}
-	lpp := &lp.Problem{
-		C:     make([]float64, nv),
-		Lower: make([]float64, nv),
-		Upper: make([]float64, nv),
-	}
-	for j := range lpp.Upper {
-		lpp.Upper[j] = math.Inf(1)
-	}
-	for v := 0; v < n; v++ {
-		pv := tree.Prob[v]
-		lpp.C[alpha(v)] = pv * par.UnitGenCost()
-		lpp.C[beta(v)] = pv * par.HoldingCost()
-		lpp.C[chi(v)] = pv * tree.Price[v]
-		lpp.Upper[chi(v)] = 1
-	}
-	for v := 0; v < n; v++ {
-		row := make([]float64, nv)
-		row[alpha(v)] = 1
-		row[beta(v)] = -1
-		rhs := dem[tree.Stage[v]]
-		if v == 0 {
-			rhs -= par.Epsilon
-		} else {
-			row[beta(tree.Parent[v])] = 1
-		}
-		lpp.A = append(lpp.A, row)
-		lpp.Rel = append(lpp.Rel, lp.EQ)
-		lpp.B = append(lpp.B, rhs)
-		row2 := make([]float64, nv)
-		row2[alpha(v)] = 1
-		row2[chi(v)] = -remaining[tree.Stage[v]]
-		lpp.A = append(lpp.A, row2)
-		lpp.Rel = append(lpp.Rel, lp.LE)
-		lpp.B = append(lpp.B, 0)
-		row3 := make([]float64, nv)
-		row3[alpha(v)] = 1
-		row3[beta(v)] = -1
-		row3[chi(v)] = -dem[tree.Stage[v]]
-		lpp.A = append(lpp.A, row3)
-		lpp.Rel = append(lpp.Rel, lp.LE)
-		lpp.B = append(lpp.B, 0)
-	}
-	ints := make([]bool, nv)
-	for v := 0; v < n; v++ {
-		ints[chi(v)] = true
-	}
-	return &mip.Problem{LP: lpp, Integer: ints}
 }
 
 // BenchmarkAblationTreeWidth sweeps the scenario-tree branch cap on a
@@ -841,12 +748,12 @@ func BenchmarkAblationCapacitatedDPvsMILP(b *testing.B) {
 
 // BenchmarkDualVsColdSRRP is the headline for the dual-simplex warm path:
 // branching-style re-solves of the 5-stage/branch-3 SRRP LP relaxation (the
-// BENCH_sparse.json instance, m=1092) from the root basis. Children are
-// built the way branch-and-bound builds them — one fractional variable's
+// BenchmarkSparseVsDenseSRRP instance, m=1092) from the root basis. Children
+// are built the way branch-and-bound builds them — one fractional variable's
 // bound rounded through the root optimum — and each child is solved three
 // ways: dual simplex from the parent basis (the new default), the primal
 // bound-repair warm path (NoDual), and the cold two-phase baseline that
-// BENCH_sparse.json measured. All three must reach the identical objective
+// BenchmarkSparseVsDenseSRRP times. All three must reach the identical objective
 // on every child; the acceptance metric recorded in BENCH_dual.json is the
 // per-child simplex-iteration ratio cold/dual.
 func BenchmarkDualVsColdSRRP(b *testing.B) {

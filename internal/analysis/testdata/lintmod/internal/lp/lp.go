@@ -21,9 +21,9 @@ type Problem struct {
 
 // Options is a stub options struct.
 type Options struct {
-	Tol      float64
-	NoDual   bool
-	Presolve bool
+	Tol         float64
+	NoDual      bool
+	FullPricing bool
 }
 
 // Solution is a stub solve result.

@@ -140,12 +140,6 @@ type Result struct {
 	Converged bool
 }
 
-// denseMasterForTest forces the master problem onto the dense row
-// representation. The sparse/dense bit-agreement test flips it to prove
-// the sparse-backed master reproduces the historical dense path exactly;
-// production code leaves it false.
-var denseMasterForTest bool
-
 // Solve runs the L-shaped method.
 func Solve(p *Problem, opts Options) (*Result, error) {
 	return SolveCtx(context.Background(), p, opts)
@@ -167,17 +161,13 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Result, error) {
 		nTheta = K
 	}
 
-	// Master LP over (x, θ_1..θ_nTheta), sparse-backed: cut rows carry a
-	// handful of structural nonzeros each, so appending them through the
-	// SparseRow path keeps master growth O(nnz) per cut instead of
-	// O(n+nTheta).
+	// Master LP over (x, θ_1..θ_nTheta). Cut rows carry a handful of
+	// structural nonzeros each, so appending them through the SparseRow
+	// path keeps master growth O(nnz) per cut instead of O(n+nTheta).
 	master := &lp.Problem{
 		C:     make([]float64, n+nTheta),
 		Lower: make([]float64, n+nTheta),
 		Upper: make([]float64, n+nTheta),
-	}
-	if !denseMasterForTest {
-		master.SA = []lp.SparseRow{}
 	}
 	copy(master.C, p.C)
 	for j := 0; j < n; j++ {
@@ -228,6 +218,12 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Result, error) {
 		}
 		return msol, err
 	}
+	// Each scenario's recourse rows are converted once; only the right-hand
+	// side changes between iterations.
+	recourseRows := make([][]lp.SparseRow, K)
+	for k := range p.Scenarios {
+		recourseRows[k] = lp.DenseRows(p.Scenarios[k].W)
+	}
 	sub := &lp.Problem{}
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		if err := ctx.Err(); err != nil {
@@ -264,7 +260,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Result, error) {
 				rhs[i] = sc.H[i] - dot(sc.T[i], x)
 			}
 			sub.C = sc.Q
-			sub.A = sc.W
+			sub.SA = recourseRows[k]
 			sub.Rel = sc.Rel
 			sub.B = rhs
 			sub.Lower = nil
@@ -369,9 +365,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Result, error) {
 // gradient over the first-stage columns plus an optional θ column
 // (extraCol ≥ 0) carrying coefficient 1; extraCol −1 appends a feasibility
 // cut with no θ term. Only the structural nonzeros are materialised, which
-// keeps cut appends O(nnz) on the sparse-backed master; on the dense-backed
-// master AddSparseRow scatters them back into a full-width row, so the two
-// representations stay bit-identical.
+// keeps cut appends O(nnz).
 func appendCutRow(master *lp.Problem, grad []float64, extraCol int, rhs float64) {
 	ix := make([]int, 0, len(grad)+1)
 	val := make([]float64, 0, len(grad)+1)
@@ -415,7 +409,6 @@ func ExtensiveForm(p *Problem) (*lp.Problem, error) {
 		C:     make([]float64, nTot),
 		Lower: make([]float64, nTot),
 		Upper: make([]float64, nTot),
-		SA:    []lp.SparseRow{},
 	}
 	copy(ext.C, p.C)
 	for j := 0; j < nTot; j++ {
@@ -432,7 +425,7 @@ func ExtensiveForm(p *Problem) (*lp.Problem, error) {
 			ext.C[offsets[k]+j] = sc.Prob * q
 		}
 	}
-	// Sparse-backed rows keep the stacked matrix at O(nnz): the block
+	// Sparse rows keep the stacked matrix at O(nnz): the block
 	// structure [A; T_k | W_k] is mostly zero once every scenario's recourse
 	// columns are appended side by side.
 	for i, row := range p.A {

@@ -55,44 +55,6 @@ func randomTwoStage(rng *rand.Rand) *Problem {
 	return p
 }
 
-// TestMasterSparseDenseBitAgreement pins the representation change of the
-// master problem: the sparse-backed master (the default) must reproduce
-// the historical dense-row path bit for bit, because the CSC compile drops
-// stored zeros from both representations before a single pivot happens.
-func TestMasterSparseDenseBitAgreement(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 25; trial++ {
-		p := randomTwoStage(rng)
-		opts := Options{MultiCut: trial%2 == 1}
-		sparse, err := Solve(p, opts)
-		if err != nil {
-			t.Fatalf("trial %d sparse: %v", trial, err)
-		}
-		denseMasterForTest = true
-		dense, err := Solve(p, opts)
-		denseMasterForTest = false
-		if err != nil {
-			t.Fatalf("trial %d dense: %v", trial, err)
-		}
-		if math.Float64bits(sparse.Obj) != math.Float64bits(dense.Obj) {
-			t.Fatalf("trial %d: obj bits differ: sparse %v, dense %v", trial, sparse.Obj, dense.Obj)
-		}
-		if len(sparse.X) != len(dense.X) {
-			t.Fatalf("trial %d: solution dims differ", trial)
-		}
-		for j := range sparse.X {
-			if math.Float64bits(sparse.X[j]) != math.Float64bits(dense.X[j]) {
-				t.Fatalf("trial %d: x[%d] bits differ: sparse %v, dense %v", trial, j, sparse.X[j], dense.X[j])
-			}
-		}
-		if sparse.Iterations != dense.Iterations || sparse.OptCuts != dense.OptCuts ||
-			sparse.FeasCuts != dense.FeasCuts || sparse.Converged != dense.Converged ||
-			sparse.WarmMasters != dense.WarmMasters {
-			t.Fatalf("trial %d: trajectories differ\nsparse %+v\ndense  %+v", trial, sparse, dense)
-		}
-	}
-}
-
 // TestMasterWarmStartFuzz pins the warm-started master against the cold
 // baseline on random instances: identical optima, and the warm path must
 // actually engage on every multi-iteration run.

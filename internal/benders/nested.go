@@ -177,12 +177,12 @@ type vertexState struct {
 
 	// memo caches the full outcome of the last solve, keyed by the exact
 	// balance RHS and the warehouse state it was solved under.
-	memoValid              bool
-	memoB                  float64
-	memoCuts, memoVersion  int
-	memoAlpha, memoBeta    float64
-	memoChi, memoTheta     float64
-	memoObj, memoLambda    float64
+	memoValid             bool
+	memoB                 float64
+	memoCuts, memoVersion int
+	memoAlpha, memoBeta   float64
+	memoChi, memoTheta    float64
+	memoObj, memoLambda   float64
 }
 
 type nestedSolver struct {

@@ -54,22 +54,16 @@ func treeLPRelaxation(tp *lotsize.TreeProblem) *lp.Problem {
 		} else {
 			row[beta(tp.Parent[v])] = 1
 		}
-		prob.A = append(prob.A, row)
-		prob.Rel = append(prob.Rel, lp.EQ)
-		prob.B = append(prob.B, rhs)
+		prob.AddRow(row, lp.EQ, rhs)
 		row2 := make([]float64, nv)
 		row2[alpha(v)] = 1
 		row2[chi(v)] = -maxRemain[v]
-		prob.A = append(prob.A, row2)
-		prob.Rel = append(prob.Rel, lp.LE)
-		prob.B = append(prob.B, 0)
+		prob.AddRow(row2, lp.LE, 0)
 		row3 := make([]float64, nv)
 		row3[alpha(v)] = 1
 		row3[beta(v)] = -1
 		row3[chi(v)] = -tp.Demand[v]
-		prob.A = append(prob.A, row3)
-		prob.Rel = append(prob.Rel, lp.LE)
-		prob.B = append(prob.B, 0)
+		prob.AddRow(row3, lp.LE, 0)
 	}
 	return prob
 }

@@ -14,17 +14,12 @@ const (
 	geRel = lp.GE
 )
 
-// newLP allocates an empty sparse-backed LP with nv variables, default
-// bounds [0, +Inf). The non-nil empty SA marks the problem sparse, so every
-// subsequently added row is stored as nonzeros only — scenario-tree rows
-// couple a handful of columns, and the dense alternative allocates O(nv)
-// per row, which is what made deep trees impractical to even build.
+// newLP allocates an empty LP with nv variables, default bounds [0, +Inf).
 func newLP(nv int) *lp.Problem {
 	p := &lp.Problem{
 		C:     make([]float64, nv),
 		Lower: make([]float64, nv),
 		Upper: make([]float64, nv),
-		SA:    []lp.SparseRow{},
 	}
 	for j := range p.Upper {
 		p.Upper[j] = math.Inf(1)

@@ -50,7 +50,7 @@ func RunPollingCtx(ctx context.Context, cfg *Config) (*Result, error) {
 			return nil, err
 		}
 		g.Cfg.BaseSpot = base
-		prices, err := g.Trace((H + 23) / 24).Hourly(0, H)
+		prices, err := g.Trace((H+23)/24).Hourly(0, H)
 		if err != nil {
 			return nil, err
 		}

@@ -46,16 +46,12 @@ func chainMILP(p *ChainProblem) *mip.Problem {
 		} else {
 			rhs -= p.InitialInventory
 		}
-		lpp.A = append(lpp.A, row)
-		lpp.Rel = append(lpp.Rel, lp.EQ)
-		lpp.B = append(lpp.B, rhs)
+		lpp.AddRow(row, lp.EQ, rhs)
 		// α_t ≤ B·χ_t.
 		row2 := make([]float64, nv)
 		row2[alpha(t)] = 1
 		row2[chi(t)] = -bigB
-		lpp.A = append(lpp.A, row2)
-		lpp.Rel = append(lpp.Rel, lp.LE)
-		lpp.B = append(lpp.B, 0)
+		lpp.AddRow(row2, lp.LE, 0)
 	}
 	ints := make([]bool, nv)
 	for t := 0; t < T; t++ {

@@ -24,9 +24,7 @@ func randomLP(rng *rand.Rand, n, m int) *Problem {
 		for j := 0; j < n; j++ {
 			row[j] = rng.Float64()
 		}
-		p.A = append(p.A, row)
-		p.Rel = append(p.Rel, LE)
-		p.B = append(p.B, 0.5+rng.Float64())
+		p.AddRow(row, LE, 0.5+rng.Float64())
 	}
 	return p
 }
@@ -81,7 +79,7 @@ func TestSolveFromCtxCanceled(t *testing.T) {
 	}
 	// Perturb a bound so the repair loop actually runs, then cancel.
 	q := &Problem{
-		C: append([]float64(nil), p.C...), A: p.A, Rel: p.Rel,
+		C: append([]float64(nil), p.C...), SA: p.SA, Rel: p.Rel,
 		B:     append([]float64(nil), p.B...),
 		Lower: append([]float64(nil), p.Lower...),
 		Upper: append([]float64(nil), p.Upper...),
@@ -106,7 +104,7 @@ func TestSolveFromCtxBackgroundMatchesSolveFrom(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := &Problem{
-		C: append([]float64(nil), p.C...), A: p.A, Rel: p.Rel,
+		C: append([]float64(nil), p.C...), SA: p.SA, Rel: p.Rel,
 		B:     append([]float64(nil), p.B...),
 		Lower: append([]float64(nil), p.Lower...),
 		Upper: append([]float64(nil), p.Upper...),

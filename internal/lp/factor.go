@@ -24,11 +24,11 @@ type peelScratch struct {
 	rowDone, colDone []bool
 	stackR, stackC   []int32
 	// Pivot sequence: order s → (constraint row, basis position, diagonal).
-	pivRow, pivCol []int32
+	pivRow, pivCol   []int32
 	backRow, backCol []int32
-	diag   []float64
-	ord    []int32 // constraint row → pivot order
-	res    []float64
+	diag             []float64
+	ord              []int32 // constraint row → pivot order
+	res              []float64
 	// Dense handling of the irreducible core left when the peel stalls:
 	// the r×r block matrix, its explicit inverse, and solve scratch.
 	core, coreInv []float64

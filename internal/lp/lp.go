@@ -5,13 +5,12 @@
 //	subject to  Aᵢx {≤,=,≥} bᵢ   for every row i
 //	            lⱼ ≤ xⱼ ≤ uⱼ     for every variable j
 //
-// Variable bounds may be infinite (math.Inf). The constraint matrix may be
-// supplied dense (Problem.A) or sparse (Problem.SA); on solve entry either
-// representation is compiled into the same immutable compressed-sparse-
-// column form, so the hot loops — pricing, FTRAN, the ratio test — iterate
-// structural nonzeros only. The solver is written for the moderately sized
-// scenario-tree problems produced by the rental-planning models in this
-// repository (hundreds to a few thousand variables and rows).
+// Variable bounds may be infinite (math.Inf). Constraint rows are stored
+// sparse (Problem.SA); on solve entry they are compiled into an immutable
+// compressed-sparse-column form, so the hot loops — pricing, FTRAN, the
+// ratio test — iterate structural nonzeros only. The solver is written for
+// the moderately sized scenario-tree problems produced by the rental-planning
+// models in this repository (hundreds to a few thousand variables and rows).
 //
 // Solve and SolveWithOptions are reentrant: each call allocates a private
 // simplex instance and never mutates the Problem, so concurrent solves of
@@ -88,18 +87,12 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", int8(s))
 }
 
-// Problem is a linear program in row-oriented form. Constraint rows live in
-// exactly one of two representations: the dense A, or the sparse SA (one
-// SparseRow per constraint). A non-nil SA — even an empty one — marks the
-// problem sparse-backed and A must then stay nil; the solver compiles either
-// representation into the same internal CSC form, so results are identical.
+// Problem is a linear program in row-oriented form: constraint row i is
+// SA[i] {Rel[i]} B[i]. Rows given densely go through AddRow or DenseRows.
 type Problem struct {
 	// C holds the objective coefficients; len(C) is the variable count.
 	C []float64
-	// A holds one dense coefficient row per constraint. Nil when SA is used.
-	A [][]float64
-	// SA holds one sparse coefficient row per constraint. Nil when A is
-	// used; non-nil (possibly empty) marks the problem sparse-backed.
+	// SA holds one sparse coefficient row per constraint.
 	SA []SparseRow
 	// Rel holds the relational operator of each row.
 	Rel []Rel
@@ -115,12 +108,7 @@ type Problem struct {
 func (p *Problem) NumVars() int { return len(p.C) }
 
 // NumRows returns the number of constraint rows.
-func (p *Problem) NumRows() int {
-	if p.SA != nil {
-		return len(p.SA)
-	}
-	return len(p.A)
-}
+func (p *Problem) NumRows() int { return len(p.SA) }
 
 // Validate checks dimensional consistency, bound sanity, and that every
 // numeric entry of the program — costs, coefficients, right-hand sides and
@@ -135,24 +123,8 @@ func (p *Problem) Validate() error {
 			return fmt.Errorf("lp: objective coefficient %d is %g", j, c)
 		}
 	}
-	if p.sparseBacked() {
-		if err := p.validateSparse(n); err != nil {
-			return err
-		}
-	} else {
-		if len(p.A) != len(p.B) || len(p.A) != len(p.Rel) {
-			return fmt.Errorf("lp: row count mismatch: |A|=%d |B|=%d |Rel|=%d", len(p.A), len(p.B), len(p.Rel))
-		}
-		for i, row := range p.A {
-			if len(row) != n {
-				return fmt.Errorf("lp: row %d has %d coefficients, want %d", i, len(row), n)
-			}
-			for j, a := range row {
-				if math.IsNaN(a) || math.IsInf(a, 0) {
-					return fmt.Errorf("lp: A[%d][%d] is %g", i, j, a)
-				}
-			}
-		}
+	if err := p.validateRows(n); err != nil {
+		return err
 	}
 	if p.Lower != nil && len(p.Lower) != n {
 		return fmt.Errorf("lp: |Lower|=%d, want %d", len(p.Lower), n)
@@ -195,19 +167,12 @@ func (p *Problem) boundsAt(j int) (lo, hi float64) {
 func (p *Problem) Clone() *Problem {
 	q := &Problem{
 		C:   append([]float64(nil), p.C...),
+		SA:  make([]SparseRow, len(p.SA)),
 		B:   append([]float64(nil), p.B...),
 		Rel: append([]Rel(nil), p.Rel...),
 	}
-	if p.SA != nil {
-		q.SA = make([]SparseRow, len(p.SA))
-		for i := range p.SA {
-			q.SA[i] = p.SA[i].Clone()
-		}
-	} else {
-		q.A = make([][]float64, len(p.A))
-		for i, row := range p.A {
-			q.A[i] = append([]float64(nil), row...)
-		}
+	for i := range p.SA {
+		q.SA[i] = p.SA[i].Clone()
 	}
 	if p.Lower != nil {
 		q.Lower = append([]float64(nil), p.Lower...)
@@ -259,7 +224,7 @@ type Solution struct {
 	// the candidate list without a full sweep. Zero under FullPricing.
 	CandidateHits int
 	// NNZ is the structural nonzero count of the compiled constraint
-	// matrix, identical for both Problem representations.
+	// matrix.
 	NNZ int
 
 	// DualIters counts the dual-simplex pivots of a warm solve routed
@@ -272,11 +237,6 @@ type Solution struct {
 	// the periodic primal refresh, post-eviction refreshes, and eta-stack
 	// collapses of the dual path.
 	Refactorizations int
-	// PresolveRows and PresolveCols count the constraint rows and variables
-	// eliminated by the presolve pass (Options.Presolve); zero when
-	// presolve is disabled or eliminated nothing.
-	PresolveRows int
-	PresolveCols int
 }
 
 // Options tunes the solver. The zero value selects sensible defaults.
@@ -298,18 +258,6 @@ type Options struct {
 	// primal phase 1 exactly as in earlier releases. The switch exists for
 	// A/B benchmarking and for isolating dual-path regressions.
 	NoDual bool
-	// Presolve enables the presolve + geometric-mean scaling pass on the
-	// Solve/SolveWithOptions/SolveCtx path: empty, singleton and redundant
-	// rows are eliminated, fixed variables substituted out, and the reduced
-	// problem scaled by powers of two before the simplex runs. Postsolve
-	// maps X, Duals and FarkasRay back to the original space, so callers
-	// see original-space solutions; certificates (infeasibility,
-	// unboundedness) are re-derived by an unreduced cold solve whenever the
-	// postsolved certificate does not verify, so they are exactly as
-	// trustworthy as without presolve. Basis snapshots are suppressed when
-	// rows or columns were eliminated (the snapshot would not match the
-	// caller's problem shape); SolveFrom/SolveFromCtx ignore this option.
-	Presolve bool
 }
 
 // Resolved returns the options with every zero field replaced by its default
@@ -355,21 +303,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadProblem, err)
 	}
-	opts = opts.withDefaults(p.NumRows(), p.NumVars())
-	if opts.Presolve {
-		return solvePresolved(ctx, p, opts)
-	}
-	s := newSimplex(p, opts)
-	s.ctx = ctx
-	sol, err := s.solve()
-	s.release()
-	return sol, err
-}
-
-// solveReduced is the presolve-free core solve, shared by the plain path
-// and the reduced-problem solve inside solvePresolved.
-func solveReduced(ctx context.Context, p *Problem, opts Options) (*Solution, error) {
-	s := newSimplex(p, opts)
+	s := newSimplex(p, opts.withDefaults(p.NumRows(), p.NumVars()))
 	s.ctx = ctx
 	sol, err := s.solve()
 	s.release()

@@ -33,7 +33,7 @@ type simplex struct {
 	nAll int // n + 2m (adds artificials)
 
 	// csc is the structural constraint matrix compiled on solve entry; all
-	// matrix access in the hot loops goes through it, never through p.A/p.SA.
+	// matrix access in the hot loops goes through it, never through p.SA.
 	csc cscMat
 
 	lo, hi []float64 // bounds per column, length nAll
@@ -295,13 +295,7 @@ func (s *simplex) solve() (*Solution, error) {
 			// pivoted iterate is not a usable point, so X/Obj stay empty.
 			return s.result(st, false), nil
 		}
-		art := 0.0
-		for i := 0; i < s.m; i++ {
-			if s.basis[i] >= s.nTot {
-				art += s.xval[s.basis[i]]
-			}
-		}
-		if art > num.FeasTol*s.phase1Scale() {
+		if s.artificialResidual() {
 			sol := s.result(StatusInfeasible, false)
 			sol.FarkasRay = s.dualVector(true)
 			return sol, nil
@@ -311,45 +305,29 @@ func (s *simplex) solve() (*Solution, error) {
 	return s.solvePhase2()
 }
 
-// phase1Scale returns the magnitude scale against which the phase-1
-// artificial residual is judged. The artificials absorb b − N·x_rest, so
-// the cancellation noise a feasible model can legitimately leave on them
-// grows both with the right-hand side and with the finite bound values the
-// nonbasic columns rest at, each amplified by its column's largest
-// coefficient. Scaling by max|B| alone misreported feasible models with
-// large lo/hi and a small right-hand side as infeasible.
-func (s *simplex) phase1Scale() float64 {
-	scale := 1.0
-	for _, b := range s.p.B {
-		if a := math.Abs(b); a > scale {
-			scale = a
-		}
-	}
-	c := &s.csc
-	for j := 0; j < s.n; j++ {
-		v := 0.0
-		if lo := s.lo[j]; !math.IsInf(lo, -1) {
-			v = math.Abs(lo)
-		}
-		if hi := s.hi[j]; !math.IsInf(hi, 1) {
-			if a := math.Abs(hi); a > v {
-				v = a
-			}
-		}
-		if v == 0 { //lint:ignore rentlint/floatcmp exact-zero skip: a zero rest magnitude contributes no residual noise
+// artificialResidual reports whether a basic artificial still carries more
+// than rounding noise at the end of phase 1. Each artificial is judged
+// against its own row k: the noise it can legitimately hold grows with the
+// magnitudes that cancel in b_k = Σ_j a_kj x_j + s_k, so the bound is
+// FeasTol·(1 + |b_k| + |s_k| + Σ_j |a_kj x_j|). One model-wide scale would
+// let a large row or bound hide a real violation on a small row.
+func (s *simplex) artificialResidual() bool {
+	for r := 0; r < s.m; r++ {
+		aj := s.basis[r]
+		if aj < s.nTot {
 			continue
 		}
-		colMax := 0.0
-		for t := c.colPtr[j]; t < c.colPtr[j+1]; t++ {
-			if a := math.Abs(c.val[t]); a > colMax {
-				colMax = a
-			}
+		k := aj - s.nTot
+		scale := 1 + math.Abs(s.p.B[k]) + math.Abs(s.xval[s.n+k])
+		row := &s.p.SA[k]
+		for t, j := range row.Ix {
+			scale += math.Abs(row.V[t] * s.xval[j])
 		}
-		if va := v * colMax; va > scale {
-			scale = va
+		if s.xval[aj] > num.FeasTol*scale {
+			return true
 		}
 	}
-	return scale
+	return false
 }
 
 // solvePhase2 locks the artificial columns at zero, restores the true
@@ -860,11 +838,20 @@ func (s *simplex) pivot(j int, dir float64, repair bool, tol float64) pivotStatu
 	s.pivotRefreshed = false
 	// w = B⁻¹ A_j (sparse FTRAN).
 	s.ftranInto(j, s.w)
-	// Ratio test: x_B(t) = x_B − t·dir·w for step t ≥ 0.
+	// Ratio test: x_B(t) = x_B − t·dir·w for step t ≥ 0. The pivot
+	// threshold is relative to the column's largest entry: an absolute one
+	// admits rounding noise left by cancellation in a column of large
+	// entries as a pivot, and that pivot wrecks B⁻¹.
 	tMax := math.Inf(1)
 	leave := -1
 	leaveAt := statusAtLower
-	pivTol := num.PivotTol
+	wMax := 1.0
+	for _, wi := range s.w {
+		if a := math.Abs(wi); a > wMax {
+			wMax = a
+		}
+	}
+	pivTol := num.PivotTol * wMax
 	for i := 0; i < s.m; i++ {
 		g := dir * s.w[i]
 		if math.Abs(g) <= pivTol {

@@ -7,9 +7,9 @@ import (
 
 // SparseRow is one constraint row stored as parallel (column, value) slices
 // with strictly increasing column indices. It is the row format of
-// Problem.SA, the sparse alternative to the dense Problem.A: scenario-tree
-// models couple a handful of variables per row, so storing only the
-// nonzeros keeps model construction O(nnz) per row instead of O(n).
+// Problem.SA: scenario-tree models couple a handful of variables per row,
+// so storing only the nonzeros keeps model construction O(nnz) per row
+// instead of O(n).
 type SparseRow struct {
 	// Ix holds the column indices of the nonzeros, strictly increasing.
 	Ix []int
@@ -62,48 +62,44 @@ func (r SparseRow) Clone() SparseRow {
 	}
 }
 
-// sparseBacked reports whether the problem stores its rows in SA. An empty
-// non-nil SA marks a sparse-backed problem with no rows yet, which is how
-// the model builders start out.
-func (p *Problem) sparseBacked() bool { return p.SA != nil }
-
-// AddRow appends one constraint row given in dense form, converting it to
-// the problem's storage representation: sparse-backed problems keep only
-// the nonzeros, dense-backed problems append the row as-is (retaining the
-// caller's slice, matching the historical contract of direct appends).
-func (p *Problem) AddRow(row []float64, rel Rel, b float64) {
-	if p.sparseBacked() {
-		ix := make([]int, 0, 4)
-		v := make([]float64, 0, 4)
-		for j, a := range row {
-			if a == 0 { //lint:ignore rentlint/floatcmp exact-zero skip: a stored zero coefficient contributes nothing to any row operation
-				continue
-			}
-			ix = append(ix, j)
-			v = append(v, a)
-		}
-		p.SA = append(p.SA, SparseRow{Ix: ix, V: v})
-	} else {
-		p.A = append(p.A, row)
+// DenseRows converts dense coefficient rows into SparseRows, keeping only
+// the nonzeros. It is the bridge for callers whose data is naturally dense
+// (small recourse matrices, hand-written test programs): the result goes
+// straight into Problem.SA.
+func DenseRows(a [][]float64) []SparseRow {
+	rows := make([]SparseRow, len(a))
+	for i, row := range a {
+		rows[i] = denseRow(row)
 	}
+	return rows
+}
+
+func denseRow(row []float64) SparseRow {
+	ix := make([]int, 0, 4)
+	v := make([]float64, 0, 4)
+	for j, a := range row {
+		if a == 0 { //lint:ignore rentlint/floatcmp exact-zero skip: a stored zero coefficient contributes nothing to any row operation
+			continue
+		}
+		ix = append(ix, j)
+		v = append(v, a)
+	}
+	return SparseRow{Ix: ix, V: v}
+}
+
+// AddRow appends one constraint row given in dense form; only its nonzeros
+// are stored.
+func (p *Problem) AddRow(row []float64, rel Rel, b float64) {
+	p.SA = append(p.SA, denseRow(row))
 	p.Rel = append(p.Rel, rel)
 	p.B = append(p.B, b)
 }
 
 // AddSparseRow appends one constraint row given as (index, value) pairs.
 // The entries are normalised (sorted, duplicates summed, exact zeros
-// dropped); on a dense-backed problem the row is scattered into a dense
-// slice instead.
+// dropped).
 func (p *Problem) AddSparseRow(ix []int, v []float64, rel Rel, b float64) {
-	if p.sparseBacked() {
-		p.SA = append(p.SA, NewSparseRow(ix, v))
-	} else {
-		row := make([]float64, len(p.C))
-		for t, j := range ix {
-			row[j] += v[t]
-		}
-		p.A = append(p.A, row)
-	}
+	p.SA = append(p.SA, NewSparseRow(ix, v))
 	p.Rel = append(p.Rel, rel)
 	p.B = append(p.B, b)
 }
@@ -111,18 +107,8 @@ func (p *Problem) AddSparseRow(ix []int, v []float64, rel Rel, b float64) {
 // NNZ returns the number of structural nonzeros of the constraint matrix.
 func (p *Problem) NNZ() int {
 	nnz := 0
-	if p.sparseBacked() {
-		for i := range p.SA {
-			for _, v := range p.SA[i].V {
-				if v != 0 { //lint:ignore rentlint/floatcmp exact-zero skip: counting stored zeros would overstate the structural nonzeros
-					nnz++
-				}
-			}
-		}
-		return nnz
-	}
-	for _, row := range p.A {
-		for _, v := range row {
+	for i := range p.SA {
+		for _, v := range p.SA[i].V {
 			if v != 0 { //lint:ignore rentlint/floatcmp exact-zero skip: counting stored zeros would overstate the structural nonzeros
 				nnz++
 			}
@@ -134,15 +120,9 @@ func (p *Problem) NNZ() int {
 // RowDot returns the inner product of constraint row i with x.
 func (p *Problem) RowDot(i int, x []float64) float64 {
 	s := 0.0
-	if p.sparseBacked() {
-		r := &p.SA[i]
-		for t, j := range r.Ix {
-			s += r.V[t] * x[j]
-		}
-		return s
-	}
-	for j, a := range p.A[i] {
-		s += a * x[j]
+	r := &p.SA[i]
+	for t, j := range r.Ix {
+		s += r.V[t] * x[j]
 	}
 	return s
 }
@@ -150,29 +130,22 @@ func (p *Problem) RowDot(i int, x []float64) float64 {
 // RowAbsSum returns Σ_j |A_ij| for constraint row i.
 func (p *Problem) RowAbsSum(i int) float64 {
 	s := 0.0
-	if p.sparseBacked() {
-		for _, v := range p.SA[i].V {
-			s += math.Abs(v)
-		}
-		return s
-	}
-	for _, a := range p.A[i] {
-		s += math.Abs(a)
+	for _, v := range p.SA[i].V {
+		s += math.Abs(v)
 	}
 	return s
 }
 
-// validateSparse checks the SA representation: parallel slices, indices in
-// range and strictly increasing, finite values, and mutual exclusion with
-// the dense A.
-func (p *Problem) validateSparse(n int) error {
-	if p.A != nil {
-		return fmt.Errorf("lp: both A (%d rows) and SA (%d rows) are set; exactly one representation may be used", len(p.A), len(p.SA))
-	}
+// validateRows checks the rows: parallel slices, a known relation, indices
+// in range and strictly increasing, and finite values.
+func (p *Problem) validateRows(n int) error {
 	if len(p.SA) != len(p.B) || len(p.SA) != len(p.Rel) {
 		return fmt.Errorf("lp: row count mismatch: |SA|=%d |B|=%d |Rel|=%d", len(p.SA), len(p.B), len(p.Rel))
 	}
 	for i := range p.SA {
+		if rel := p.Rel[i]; rel != LE && rel != EQ && rel != GE {
+			return fmt.Errorf("lp: row %d has unknown relation %v", i, rel)
+		}
 		r := &p.SA[i]
 		if len(r.Ix) != len(r.V) {
 			return fmt.Errorf("lp: sparse row %d has %d indices for %d values", i, len(r.Ix), len(r.V))
@@ -211,11 +184,9 @@ type cscMat struct {
 // nnz returns the stored nonzero count.
 func (c *cscMat) nnz() int { return len(c.val) }
 
-// compile rebuilds the CSC arrays from the problem's rows (either
-// representation), reusing the receiver's buffers. Exact-zero entries are
-// dropped: omitting a zero coefficient changes no inner product, for any
-// rounding, so every dense loop rewritten over this form stays
-// pivot-for-pivot identical to its dense original.
+// compile rebuilds the CSC arrays from the problem's rows, reusing the
+// receiver's buffers. Exact-zero entries are dropped: omitting a zero
+// coefficient changes no inner product, for any rounding.
 func (c *cscMat) compile(p *Problem) {
 	m, n := p.NumRows(), p.NumVars()
 	c.m, c.n = m, n
@@ -224,23 +195,12 @@ func (c *cscMat) compile(p *Problem) {
 		c.colPtr[j] = 0
 	}
 	nnz := 0
-	if p.sparseBacked() {
-		for i := range p.SA {
-			r := &p.SA[i]
-			for t, j := range r.Ix {
-				if r.V[t] != 0 { //lint:ignore rentlint/floatcmp exact-zero skip: dropping a zero coefficient changes no inner product
-					c.colPtr[j+1]++
-					nnz++
-				}
-			}
-		}
-	} else {
-		for _, row := range p.A {
-			for j, v := range row {
-				if v != 0 { //lint:ignore rentlint/floatcmp exact-zero skip: dropping a zero coefficient changes no inner product
-					c.colPtr[j+1]++
-					nnz++
-				}
+	for i := range p.SA {
+		r := &p.SA[i]
+		for t, j := range r.Ix {
+			if r.V[t] != 0 { //lint:ignore rentlint/floatcmp exact-zero skip: dropping a zero coefficient changes no inner product
+				c.colPtr[j+1]++
+				nnz++
 			}
 		}
 	}
@@ -253,27 +213,14 @@ func (c *cscMat) compile(p *Problem) {
 	copy(c.next, c.colPtr[:n])
 	// Fill in row order so row indices come out strictly increasing within
 	// each column.
-	if p.sparseBacked() {
-		for i := range p.SA {
-			r := &p.SA[i]
-			for t, j := range r.Ix {
-				if r.V[t] != 0 { //lint:ignore rentlint/floatcmp exact-zero skip: dropping a zero coefficient changes no inner product
-					pos := c.next[j]
-					c.rowIdx[pos] = int32(i)
-					c.val[pos] = r.V[t]
-					c.next[j] = pos + 1
-				}
-			}
-		}
-	} else {
-		for i, row := range p.A {
-			for j, v := range row {
-				if v != 0 { //lint:ignore rentlint/floatcmp exact-zero skip: dropping a zero coefficient changes no inner product
-					pos := c.next[j]
-					c.rowIdx[pos] = int32(i)
-					c.val[pos] = v
-					c.next[j] = pos + 1
-				}
+	for i := range p.SA {
+		r := &p.SA[i]
+		for t, j := range r.Ix {
+			if r.V[t] != 0 { //lint:ignore rentlint/floatcmp exact-zero skip: dropping a zero coefficient changes no inner product
+				pos := c.next[j]
+				c.rowIdx[pos] = int32(i)
+				c.val[pos] = r.V[t]
+				c.next[j] = pos + 1
 			}
 		}
 	}

@@ -3,30 +3,9 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
-
-// sparseTwin returns an SA-backed copy of a dense-backed problem with the
-// same rows, bounds, and objective.
-func sparseTwin(p *Problem) *Problem {
-	q := p.Clone()
-	q.SA = make([]SparseRow, 0, len(q.A))
-	rows := q.A
-	q.A = nil
-	for _, row := range rows {
-		ix := make([]int, 0, len(row))
-		v := make([]float64, 0, len(row))
-		for j, a := range row {
-			if a == 0 {
-				continue
-			}
-			ix = append(ix, j)
-			v = append(v, a)
-		}
-		q.SA = append(q.SA, SparseRow{Ix: ix, V: v})
-	}
-	return q
-}
 
 // randomMixedLP builds a random LP with structural sparsity and a mix of row
 // relations and bound shapes, so the fuzz hits optimal, infeasible, and
@@ -71,9 +50,7 @@ func randomMixedLP(rng *rand.Rand, n, m int) *Problem {
 		case r < 0.40:
 			rel = EQ
 		}
-		p.A = append(p.A, row)
-		p.Rel = append(p.Rel, rel)
-		p.B = append(p.B, rng.Float64()*3-1)
+		p.AddRow(row, rel, rng.Float64()*3-1)
 	}
 	return p
 }
@@ -91,15 +68,9 @@ func certifyFarkas(t *testing.T, p *Problem, y []float64) {
 	}
 	v := make([]float64, n)
 	for i := 0; i < p.NumRows(); i++ {
-		if p.sparseBacked() {
-			r := &p.SA[i]
-			for k, j := range r.Ix {
-				v[j] += y[i] * r.V[k]
-			}
-		} else {
-			for j, a := range p.A[i] {
-				v[j] += y[i] * a
-			}
+		r := &p.SA[i]
+		for k, j := range r.Ix {
+			v[j] += y[i] * r.V[k]
 		}
 	}
 	const tol = 1e-9
@@ -140,93 +111,47 @@ func certifyFarkas(t *testing.T, p *Problem, y []float64) {
 	}
 }
 
-// TestSparseDenseAgreementFuzz solves 120 random LPs through the four
-// (representation × pricing) configurations and demands identical outcomes.
-// The same representation under the same pricing mode must agree exactly —
-// the CSC compile of a dense matrix and its sparse twin are identical, so
-// the solver runs pivot-for-pivot the same — while candidate-list pricing
-// versus full pricing may pivot differently and only the optimum must match.
+// TestSparseDenseAgreementFuzz solves 120 random LPs under both pricing
+// modes: candidate-list pricing with the sparse triangular refactorisation,
+// and full pricing with dense Gauss–Jordan refactorisation. The two may
+// pivot differently, so only the status and the optimum must agree, and
+// every infeasible verdict must carry a certified Farkas ray.
 func TestSparseDenseAgreementFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	statusCount := map[Status]int{}
 	for trial := 0; trial < 120; trial++ {
 		n := 2 + rng.Intn(19)
 		m := 1 + rng.Intn(14)
-		dense := randomMixedLP(rng, n, m)
-		sparse := sparseTwin(dense)
-
-		type cfg struct {
-			name string
-			p    *Problem
-			opt  Options
+		p := randomMixedLP(rng, n, m)
+		cand, err := SolveWithOptions(p, Options{})
+		if err != nil {
+			t.Fatalf("trial %d candidate pricing: %v", trial, err)
 		}
-		cfgs := []cfg{
-			{"dense/cand", dense, Options{}},
-			{"sparse/cand", sparse, Options{}},
-			{"dense/full", dense, Options{FullPricing: true}},
-			{"sparse/full", sparse, Options{FullPricing: true}},
+		full, err := SolveWithOptions(p, Options{FullPricing: true})
+		if err != nil {
+			t.Fatalf("trial %d full pricing: %v", trial, err)
 		}
-		sols := make([]*Solution, len(cfgs))
-		for k, c := range cfgs {
-			sol, err := SolveWithOptions(c.p, c.opt)
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, c.name, err)
-			}
-			sols[k] = sol
+		statusCount[cand.Status]++
+		if cand.Status != full.Status {
+			t.Fatalf("trial %d: candidate pricing %v vs full pricing %v", trial, cand.Status, full.Status)
 		}
-		statusCount[sols[0].Status]++
-		// Exact agreement within a pricing mode across representations.
-		for _, pair := range [][2]int{{0, 1}, {2, 3}} {
-			a, b := sols[pair[0]], sols[pair[1]]
-			if a.Status != b.Status || a.Iterations != b.Iterations || a.Obj != b.Obj {
-				t.Fatalf("trial %d: %s=(%v, %v, %d it) disagrees with %s=(%v, %v, %d it)",
-					trial, cfgs[pair[0]].name, a.Status, a.Obj, a.Iterations,
-					cfgs[pair[1]].name, b.Status, b.Obj, b.Iterations)
-			}
-			for j := range a.X {
-				if a.X[j] != b.X[j] {
-					t.Fatalf("trial %d: X[%d] differs across representations: %v vs %v",
-						trial, j, a.X[j], b.X[j])
-				}
+		if cand.Status == StatusOptimal {
+			if diff := math.Abs(cand.Obj - full.Obj); diff > 1e-7*(1+math.Abs(full.Obj)) {
+				t.Fatalf("trial %d: objective %v (candidate) vs %v (full)", trial, cand.Obj, full.Obj)
 			}
 		}
-		// Tolerance agreement across pricing modes.
-		a, b := sols[0], sols[2]
-		if a.Status != b.Status {
-			t.Fatalf("trial %d: candidate pricing %v vs full pricing %v", trial, a.Status, b.Status)
-		}
-		if a.Status == StatusOptimal {
-			if diff := math.Abs(a.Obj - b.Obj); diff > 1e-7*(1+math.Abs(b.Obj)) {
-				t.Fatalf("trial %d: objective %v (candidate) vs %v (full)", trial, a.Obj, b.Obj)
-			}
-		}
-		if a.Status == StatusInfeasible {
-			for k, sol := range sols {
+		if cand.Status == StatusInfeasible {
+			for _, sol := range []*Solution{cand, full} {
 				if sol.FarkasRay == nil {
-					t.Fatalf("trial %d %s: infeasible without a Farkas ray", trial, cfgs[k].name)
+					t.Fatalf("trial %d: infeasible without a Farkas ray", trial)
 				}
-				certifyFarkas(t, cfgs[k].p, sol.FarkasRay)
+				certifyFarkas(t, p, sol.FarkasRay)
 			}
 		}
 	}
 	// The generator must actually exercise more than one outcome class.
 	if len(statusCount) < 2 {
 		t.Fatalf("fuzz generator degenerate: statuses %v", statusCount)
-	}
-}
-
-func TestValidateRejectsRaggedDenseRow(t *testing.T) {
-	p := &Problem{
-		C:   []float64{1, 1},
-		A:   [][]float64{{1, 1}, {1}}, // second row ragged
-		Rel: []Rel{LE, LE},
-		B:   []float64{1, 1},
-	}
-	if err := p.Validate(); err == nil {
-		t.Fatal("want ragged-row error")
-	}
-	if _, err := Solve(p); err == nil {
-		t.Fatal("Solve must surface the ragged-row error")
 	}
 }
 
@@ -242,12 +167,6 @@ func TestValidateSparseErrors(t *testing.T) {
 	ok := base()
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("well-formed sparse problem rejected: %v", err)
-	}
-
-	both := base()
-	both.A = [][]float64{{1, 0, -1}}
-	if err := both.Validate(); err == nil {
-		t.Fatal("want mutual-exclusion error when A and SA are both set")
 	}
 
 	ragged := base()
@@ -303,54 +222,75 @@ func TestNewSparseRowNormalises(t *testing.T) {
 	}
 }
 
+// TestRowHelpersAgreeAcrossRepresentations checks NNZ, RowDot and
+// RowAbsSum on rows built by DenseRows against the dense rows they came
+// from.
 func TestRowHelpersAgreeAcrossRepresentations(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	dense := randomMixedLP(rng, 12, 8)
-	sparse := sparseTwin(dense)
-	if dense.NNZ() != sparse.NNZ() {
-		t.Fatalf("NNZ %d vs %d", dense.NNZ(), sparse.NNZ())
+	const n, m = 12, 8
+	dense := make([][]float64, m)
+	nnz := 0
+	for i := range dense {
+		dense[i] = make([]float64, n)
+		for j := range dense[i] {
+			if rng.Float64() < 0.4 {
+				dense[i][j] = rng.Float64()*4 - 2
+				nnz++
+			}
+		}
 	}
-	x := make([]float64, 12)
+	p := &Problem{C: make([]float64, n), SA: DenseRows(dense), Rel: make([]Rel, m), B: make([]float64, m)}
+	if got := p.NNZ(); got != nnz {
+		t.Fatalf("NNZ %d, want %d", got, nnz)
+	}
+	x := make([]float64, n)
 	for j := range x {
 		x[j] = rng.Float64()*2 - 1
 	}
-	for i := 0; i < dense.NumRows(); i++ {
-		if d, s := dense.RowDot(i, x), sparse.RowDot(i, x); math.Abs(d-s) > 1e-12 {
-			t.Fatalf("RowDot(%d): %v vs %v", i, d, s)
+	for i, row := range dense {
+		dot, abs := 0.0, 0.0
+		for j, a := range row {
+			dot += a * x[j]
+			abs += math.Abs(a)
 		}
-		if d, s := dense.RowAbsSum(i), sparse.RowAbsSum(i); math.Abs(d-s) > 1e-12 {
-			t.Fatalf("RowAbsSum(%d): %v vs %v", i, d, s)
+		if got := p.RowDot(i, x); math.Abs(got-dot) > 1e-12 {
+			t.Fatalf("RowDot(%d): %v, want %v", i, got, dot)
+		}
+		if got := p.RowAbsSum(i); math.Abs(got-abs) > 1e-12 {
+			t.Fatalf("RowAbsSum(%d): %v, want %v", i, got, abs)
 		}
 	}
 }
 
+// TestAddRowAndAddSparseRowEquivalent builds the same two rows once through
+// AddRow and once through AddSparseRow: the stored rows, and so the
+// solves, must be identical.
 func TestAddRowAndAddSparseRowEquivalent(t *testing.T) {
-	mk := func(sparseBacked bool) *Problem {
-		p := &Problem{
+	mk := func() *Problem {
+		return &Problem{
 			C:     []float64{1, 2, 3},
 			Lower: make([]float64, 3),
 			Upper: []float64{4, 4, 4},
 		}
-		if sparseBacked {
-			p.SA = []SparseRow{}
+	}
+	d, s := mk(), mk()
+	d.AddRow([]float64{1, 0, -1}, LE, 2)
+	d.AddRow([]float64{2, 0, 1}, GE, 1)
+	s.AddSparseRow([]int{2, 0}, []float64{-1, 1}, LE, 2)
+	s.AddSparseRow([]int{2, 0, 0}, []float64{1, 1, 1}, GE, 1)
+	for _, p := range []*Problem{d, s} {
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
 		}
-		p.AddRow([]float64{1, 0, -1}, LE, 2)
-		p.AddSparseRow([]int{2, 0, 0}, []float64{1, 1, 1}, GE, 1)
-		return p
-	}
-	d, s := mk(false), mk(true)
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
 	}
 	if d.NumRows() != 2 || s.NumRows() != 2 || d.NNZ() != s.NNZ() {
 		t.Fatalf("row/nnz mismatch: %d/%d rows, %d/%d nnz", d.NumRows(), s.NumRows(), d.NNZ(), s.NNZ())
 	}
-	// AddSparseRow on the sparse problem must have summed the duplicate 0s.
-	if got := s.SA[1]; len(got.Ix) != 2 || got.Ix[0] != 0 || got.V[0] != 2 {
-		t.Fatalf("duplicate columns not summed: %+v", got)
+	// AddSparseRow must have sorted the columns and summed the duplicate 0s.
+	for i := range d.SA {
+		if !reflect.DeepEqual(d.SA[i], s.SA[i]) {
+			t.Fatalf("row %d: AddRow stored %+v, AddSparseRow %+v", i, d.SA[i], s.SA[i])
+		}
 	}
 	sd, err := Solve(d)
 	if err != nil {
@@ -400,7 +340,7 @@ func TestSolutionCounters(t *testing.T) {
 }
 
 func TestFarkasRaySparseBacked(t *testing.T) {
-	// x ≥ 5 and x ≤ 3 with x ∈ [0, 10]: infeasible, as in the dense test.
+	// x ≥ 5 and x ≤ 3 with x ∈ [0, 10]: infeasible, as in TestFarkasRaySeparates.
 	p := &Problem{
 		C:     []float64{0},
 		SA:    []SparseRow{{Ix: []int{0}, V: []float64{1}}, {Ix: []int{0}, V: []float64{1}}},

@@ -18,7 +18,7 @@ func TestUnboundedRootRegression(t *testing.T) {
 	p := &Problem{
 		LP: &lp.Problem{
 			C:     []float64{-1, -1},
-			A:     [][]float64{{0, 1}},
+			SA:    lp.DenseRows([][]float64{{0, 1}}),
 			Rel:   []lp.Rel{lp.LE},
 			B:     []float64{1},
 			Upper: []float64{math.Inf(1), 1},
@@ -47,7 +47,7 @@ func TestBoundAtMaxNodes(t *testing.T) {
 	p := &Problem{
 		LP: &lp.Problem{
 			C:     make([]float64, n),
-			A:     make([][]float64, 1),
+			SA:    make([]lp.SparseRow, 1),
 			Rel:   []lp.Rel{lp.LE},
 			B:     []float64{0},
 			Upper: make([]float64, n),
@@ -62,7 +62,7 @@ func TestBoundAtMaxNodes(t *testing.T) {
 		row[j] = 1 + rng.Float64()
 		s += row[j]
 	}
-	p.LP.A[0] = row
+	p.LP.SA[0] = denseRow(row)
 	p.LP.B[0] = s / 2
 
 	rel, err := lp.Solve(p.LP)
@@ -105,7 +105,7 @@ func TestObjectiveMatchesX(t *testing.T) {
 		p := &Problem{
 			LP: &lp.Problem{
 				C:     make([]float64, n),
-				A:     make([][]float64, m),
+				SA:    make([]lp.SparseRow, m),
 				Rel:   make([]lp.Rel, m),
 				B:     make([]float64, m),
 				Upper: make([]float64, n),
@@ -123,7 +123,7 @@ func TestObjectiveMatchesX(t *testing.T) {
 				row[j] = rng.Float64() * 2
 				s += row[j]
 			}
-			p.LP.A[i], p.LP.Rel[i], p.LP.B[i] = row, lp.LE, s*(0.3+0.5*rng.Float64())
+			p.LP.SA[i], p.LP.Rel[i], p.LP.B[i] = denseRow(row), lp.LE, s*(0.3+0.5*rng.Float64())
 		}
 		sol, err := Solve(p)
 		if err != nil {

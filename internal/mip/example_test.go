@@ -12,8 +12,8 @@ import (
 func ExampleSolve() {
 	prob := &mip.Problem{
 		LP: &lp.Problem{
-			C:     []float64{-10, -13, -7, -11}, // negated values
-			A:     [][]float64{{3, 4, 2, 3}},    // weights
+			C:     []float64{-10, -13, -7, -11},            // negated values
+			SA:    lp.DenseRows([][]float64{{3, 4, 2, 3}}), // weights
 			Rel:   []lp.Rel{lp.LE},
 			B:     []float64{7},
 			Upper: []float64{1, 1, 1, 1},

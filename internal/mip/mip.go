@@ -366,10 +366,6 @@ func newBnB(ctx context.Context, p *Problem, opts Options) *bnb {
 	// MaxIter reaches every node identically on both the warm and the cold
 	// dispatch paths, instead of being re-defaulted per node.
 	b.lpOpts = opts.LP.Resolved(p.LP.NumRows(), n)
-	// Presolve would suppress the basis snapshots the warm-start machinery
-	// feeds on (and reshape the node LPs), so node relaxations always run
-	// unreduced regardless of the caller's LP options.
-	b.lpOpts.Presolve = false
 	b.cond = sync.NewCond(&b.mu)
 	b.incBits.Store(math.Float64bits(math.Inf(1)))
 	b.psUp = make([]atomicFloat64, n)
@@ -992,15 +988,15 @@ func (b *bnb) boundLocked() float64 {
 func (b *bnb) snapshotLocked() Stats {
 	el := since(b.start)
 	st := Stats{
-		Elapsed:       el,
-		Nodes:         b.nodes,
-		SimplexIters:  b.iters.Load(),
-		OpenNodes:     len(b.open),
-		Workers:       len(b.workerNodes),
-		WorkerNodes:   append([]int(nil), b.workerNodes...),
-		HasIncumbent:  b.hasInc,
-		Incumbent:     b.incObj,
-		Incumbents:    append([]IncumbentRecord(nil), b.history...),
+		Elapsed:          el,
+		Nodes:            b.nodes,
+		SimplexIters:     b.iters.Load(),
+		OpenNodes:        len(b.open),
+		Workers:          len(b.workerNodes),
+		WorkerNodes:      append([]int(nil), b.workerNodes...),
+		HasIncumbent:     b.hasInc,
+		Incumbent:        b.incObj,
+		Incumbents:       append([]IncumbentRecord(nil), b.history...),
 		WarmHits:         b.warmHits.Load(),
 		WarmMisses:       b.warmMisses.Load(),
 		WarmDuals:        b.warmDuals.Load(),

@@ -16,6 +16,9 @@ func intSlice(n int, val bool) []bool {
 	return s
 }
 
+// denseRow converts one dense constraint row for lp.Problem.SA.
+func denseRow(row []float64) lp.SparseRow { return lp.DenseRows([][]float64{row})[0] }
+
 func TestKnapsack(t *testing.T) {
 	// max 10x1+13x2+7x3+11x4 s.t. 3x1+4x2+2x3+3x4 <= 7, x binary.
 	// Optimum: x1=0? enumerate: {x2,x4}: w=7 v=24; {x1,x2}: w=7 v=23;
@@ -24,7 +27,7 @@ func TestKnapsack(t *testing.T) {
 	p := &Problem{
 		LP: &lp.Problem{
 			C:     []float64{-10, -13, -7, -11},
-			A:     [][]float64{{3, 4, 2, 3}},
+			SA:    lp.DenseRows([][]float64{{3, 4, 2, 3}}),
 			Rel:   []lp.Rel{lp.LE},
 			B:     []float64{7},
 			Upper: []float64{1, 1, 1, 1},
@@ -48,7 +51,7 @@ func TestIntegerInfeasible(t *testing.T) {
 	p := &Problem{
 		LP: &lp.Problem{
 			C:     []float64{1},
-			A:     [][]float64{{2}},
+			SA:    lp.DenseRows([][]float64{{2}}),
 			Rel:   []lp.Rel{lp.EQ},
 			B:     []float64{3},
 			Upper: []float64{5},
@@ -70,7 +73,7 @@ func TestMixedIntegerContinuous(t *testing.T) {
 	p := &Problem{
 		LP: &lp.Problem{
 			C:     []float64{-1, -2},
-			A:     [][]float64{{1, 1}, {1, 0}},
+			SA:    lp.DenseRows([][]float64{{1, 1}, {1, 0}}),
 			Rel:   []lp.Rel{lp.LE, lp.GE},
 			B:     []float64{7.5, 2.2},
 			Upper: []float64{10, 10},
@@ -93,7 +96,7 @@ func TestPureLPPassThrough(t *testing.T) {
 	p := &Problem{
 		LP: &lp.Problem{
 			C:   []float64{1, 1},
-			A:   [][]float64{{1, 1}},
+			SA:  lp.DenseRows([][]float64{{1, 1}}),
 			Rel: []lp.Rel{lp.GE},
 			B:   []float64{3.3},
 		},
@@ -112,7 +115,7 @@ func TestUnboundedMILP(t *testing.T) {
 	p := &Problem{
 		LP: &lp.Problem{
 			C:   []float64{-1},
-			A:   [][]float64{{0}},
+			SA:  lp.DenseRows([][]float64{{0}}),
 			Rel: []lp.Rel{lp.LE},
 			B:   []float64{1},
 		},
@@ -145,11 +148,8 @@ func bruteForceBinary(p *Problem) (float64, bool) {
 	var rec func(j int)
 	rec = func(j int) {
 		if j == n {
-			for i, row := range p.LP.A {
-				v := 0.0
-				for k := range row {
-					v += row[k] * x[k]
-				}
+			for i := range p.LP.SA {
+				v := p.LP.RowDot(i, x)
 				switch p.LP.Rel[i] {
 				case lp.LE:
 					if v > p.LP.B[i]+1e-9 {
@@ -192,7 +192,7 @@ func TestRandomBinaryVsBruteForce(t *testing.T) {
 		p := &Problem{
 			LP: &lp.Problem{
 				C:     make([]float64, n),
-				A:     make([][]float64, m),
+				SA:    make([]lp.SparseRow, m),
 				Rel:   make([]lp.Rel, m),
 				B:     make([]float64, m),
 				Upper: make([]float64, n),
@@ -210,7 +210,7 @@ func TestRandomBinaryVsBruteForce(t *testing.T) {
 				row[j] = float64(rng.Intn(7) - 2)
 				s += math.Abs(row[j])
 			}
-			p.LP.A[i] = row
+			p.LP.SA[i] = denseRow(row)
 			p.LP.Rel[i] = lp.LE
 			p.LP.B[i] = s * (0.2 + 0.6*rng.Float64())
 		}
@@ -241,7 +241,7 @@ func TestBranchingRulesAgree(t *testing.T) {
 		p := &Problem{
 			LP: &lp.Problem{
 				C:     make([]float64, n),
-				A:     make([][]float64, 2),
+				SA:    make([]lp.SparseRow, 2),
 				Rel:   []lp.Rel{lp.LE, lp.GE},
 				B:     []float64{0, 0},
 				Upper: make([]float64, n),
@@ -259,7 +259,7 @@ func TestBranchingRulesAgree(t *testing.T) {
 				row[j] = rng.Float64() * 2
 				s += row[j]
 			}
-			p.LP.A[i] = row
+			p.LP.SA[i] = denseRow(row)
 			p.LP.B[i] = s
 		}
 		p.LP.Rel[1] = lp.LE
@@ -288,7 +288,7 @@ func TestNodeLimit(t *testing.T) {
 	p := &Problem{
 		LP: &lp.Problem{
 			C:     make([]float64, n),
-			A:     make([][]float64, 1),
+			SA:    make([]lp.SparseRow, 1),
 			Rel:   []lp.Rel{lp.LE},
 			B:     []float64{0},
 			Upper: make([]float64, n),
@@ -303,7 +303,7 @@ func TestNodeLimit(t *testing.T) {
 		row[j] = 1 + rng.Float64()
 		s += row[j]
 	}
-	p.LP.A[0] = row
+	p.LP.SA[0] = denseRow(row)
 	p.LP.B[0] = s / 2
 	sol, err := SolveWithOptions(p, Options{MaxNodes: 3})
 	if err != nil {
@@ -333,7 +333,7 @@ func BenchmarkKnapsack20(b *testing.B) {
 	p := &Problem{
 		LP: &lp.Problem{
 			C:     make([]float64, n),
-			A:     make([][]float64, 1),
+			SA:    make([]lp.SparseRow, 1),
 			Rel:   []lp.Rel{lp.LE},
 			B:     []float64{0},
 			Upper: make([]float64, n),
@@ -348,7 +348,7 @@ func BenchmarkKnapsack20(b *testing.B) {
 		row[j] = 1 + 10*rng.Float64()
 		s += row[j]
 	}
-	p.LP.A[0] = row
+	p.LP.SA[0] = denseRow(row)
 	p.LP.B[0] = s / 2
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -366,7 +366,7 @@ func TestTimeLimit(t *testing.T) {
 	p := &Problem{
 		LP: &lp.Problem{
 			C:     make([]float64, n),
-			A:     make([][]float64, 2),
+			SA:    make([]lp.SparseRow, 2),
 			Rel:   []lp.Rel{lp.LE, lp.GE},
 			B:     make([]float64, 2),
 			Upper: make([]float64, n),
@@ -382,7 +382,7 @@ func TestTimeLimit(t *testing.T) {
 		rows[1][j] = rng.Float64()
 		s += rows[0][j]
 	}
-	p.LP.A = rows
+	p.LP.SA = lp.DenseRows(rows)
 	p.LP.B[0] = s / 2
 	p.LP.B[1] = 0.1
 	sol, err := SolveWithOptions(p, Options{TimeLimit: 1}) // 1ns

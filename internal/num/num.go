@@ -19,9 +19,11 @@ const (
 	// same basis report the same proven optimum.
 	LPTol = 1e-9
 
-	// PivotTol is the minimum |pivot| magnitude admitted by the ratio test
+	// PivotTol is the minimum |pivot| magnitude admitted by the ratio tests
 	// and the basis update. It protects B⁻¹ from amplification by near-zero
-	// pivots: any row with |B⁻¹A_j| ≤ PivotTol is treated as non-blocking.
+	// pivots. The primal ratio test scales it by max(1, ‖B⁻¹A_j‖∞), so a
+	// row whose entry is that small relative to the column is treated as
+	// non-blocking; the dual ratio test applies it as an absolute bound.
 	PivotTol = 1e-10
 
 	// EvictPivotTol is the minimum pivot magnitude for swapping a

@@ -81,6 +81,8 @@ type Report struct {
 // tenantWorld is one synthetic tenant's market view and workload.
 type tenantWorld struct {
 	name      string
+	cohort    int
+	leader    bool // first tenant of its cohort
 	demand    []float64
 	rootPrice float64
 	base      stats.Discrete
@@ -112,6 +114,8 @@ func buildWorlds(cfg Config) ([]*tenantWorld, error) {
 			}
 			worlds = append(worlds, &tenantWorld{
 				name:      fmt.Sprintf("tenant-%03d", i),
+				cohort:    c,
+				leader:    i == c,
 				demand:    dem,
 				rootPrice: prices[0],
 				base:      base,
@@ -178,12 +182,22 @@ func Run(cfg Config) (*Report, error) {
 		return rec.Code, &resp, d
 	}
 
+	// A capacitated cohort's srrp joins share one MILP root. Its first
+	// tenant joins alone, so the others find that root's basis cached
+	// instead of all solving it cold at once.
+	leaderJoined := make([]chan struct{}, cfg.Cohorts)
+	for c := range leaderJoined {
+		leaderJoined[c] = make(chan struct{})
+	}
 	start := time.Now()
 	var wg sync.WaitGroup
 	for _, w := range worlds {
 		wg.Add(1)
 		go func(w *tenantWorld) {
 			defer wg.Done()
+			if cfg.Capacitated && !w.leader {
+				<-leaderJoined[w.cohort]
+			}
 			// Warm-up: one srrp plan against the cohort's shared market
 			// state; every tenant after the first hits the tree cache.
 			srrp := w.planRequest("srrp", cfg)
@@ -194,6 +208,9 @@ func Run(cfg Config) (*Report, error) {
 					break
 				}
 				time.Sleep(time.Millisecond << uint(attempt%6))
+			}
+			if w.leader {
+				close(leaderJoined[w.cohort])
 			}
 			// Rolling steps: the tenant's own demand, replanned on stride 2,
 			// so half the slots ride the previous plan.
