@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt vet lint test-analysis race check bench bench-sparse bench-dual bench-benders serve-test bench-serve bench-fleet
+.PHONY: build test fmt vet lint test-analysis race check bench bench-sparse bench-dual bench-benders serve-test bench-serve bench-fleet fuzz-lp
 
 build:
 	$(GO) build ./...
@@ -40,8 +40,8 @@ bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
 # Smoke-run the sparse-core benchmarks: the 5-stage SRRP LP relaxation under
-# candidate-list vs full pricing (objectives cross-checked in-bench), plus
-# model-build allocations.
+# candidate-list vs full pricing, both over the same sparse basis factors and
+# eta file (objectives cross-checked in-bench), plus model-build allocations.
 bench-sparse:
 	$(GO) test -run '^$$' -bench 'BenchmarkSparseVsDenseSRRP|BenchmarkSRRPModelBuild' -benchtime 1x .
 
@@ -58,6 +58,14 @@ bench-dual:
 # acceptance threshold and the 1e-6 relative bound agreement itself.
 bench-benders:
 	$(GO) test -run '^$$' -bench 'BenchmarkBendersNestedParallel' -benchtime 1x .
+
+# Fuzz lp against the exact big.Rat simplex of internal/lp/oracle_test.go for
+# a fixed budget: cold solves under both pricing modes, SolveFrom a random
+# nonsingular basis, and a warm re-solve after a bound change must all match
+# the oracle's status and optimum. A failing input is written to
+# internal/lp/testdata/fuzz and replays in every later go test run.
+fuzz-lp:
+	$(GO) test -run '^$$' -fuzz '^FuzzLPOracle$$' -fuzztime 20s ./internal/lp
 
 # The rentpland daemon stack under the race detector: handler and
 # reentrancy suites (bit-identical concurrent-vs-serial objectives, zero

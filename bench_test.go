@@ -339,9 +339,9 @@ func BenchmarkWarmVsColdSRRP(b *testing.B) {
 
 // BenchmarkSparseVsDenseSRRP times the LP relaxation of the 5-stage/branch-3
 // SRRP deterministic equivalent (364 tree vertices) under both pricing
-// modes on the same model: candidate-list pricing with the sparse
-// triangular refactorisation (the default), and full Dantzig pricing with
-// dense Gauss–Jordan refactorisation (Options.FullPricing). Both must reach
+// modes on the same model: candidate-list pricing (the default) and full
+// Dantzig pricing (Options.FullPricing). Both keep the basis as the
+// triangular peel's sparse factors plus an eta file, and both must reach
 // the same optimum.
 func BenchmarkSparseVsDenseSRRP(b *testing.B) {
 	par, tree, dem := srrpInstance(b, 5, 3)

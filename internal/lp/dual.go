@@ -78,9 +78,8 @@ func (s *simplex) dualFeasible() bool {
 }
 
 // refreshDualCosts recomputes every reduced cost exactly from the current
-// basis inverse (dred[j] = c_j − yᵀA_j with y = c_B B⁻¹), containing the
-// drift of the incremental per-pivot dual updates. The caller guarantees
-// the eta stack is empty, so binv is the true inverse.
+// basis (dred[j] = c_j − yᵀA_j with y = c_B B⁻¹), containing the drift of
+// the incremental per-pivot dual updates.
 func (s *simplex) refreshDualCosts() {
 	s.computeDuals(false)
 	s.accumAcc()
@@ -108,11 +107,10 @@ func (s *simplex) runDual() dualOutcome {
 	for {
 		r := s.pickLeaving()
 		if r < 0 {
-			// Primal feasible. Collapse the eta stack so phase 2 starts
-			// from the true inverse; the refactorisation re-derives the
-			// basic values, so re-check that drift did not re-expose a
-			// violation before declaring the dual run complete.
-			s.refactorEta()
+			// Primal feasible. Re-derive the basic values from the basis
+			// and re-check that drift did not re-expose a violation before
+			// declaring the dual run complete.
+			s.computeBasicValues()
 			if s.countViolations() != 0 {
 				return dualStalled
 			}
@@ -125,7 +123,6 @@ func (s *simplex) runDual() dualOutcome {
 			return dualCanceled
 		}
 		if s.iters >= budget {
-			s.refactorEta()
 			return dualStalled
 		}
 		switch s.dualPivot(r, tol) {
@@ -136,11 +133,9 @@ func (s *simplex) runDual() dualOutcome {
 		case dualPivotRetry:
 			retries++
 			if retries > 4 {
-				s.refactorEta()
 				return dualStalled
 			}
 		default: // dualPivotStall
-			s.refactorEta()
 			return dualStalled
 		}
 	}
@@ -205,9 +200,8 @@ func (s *simplex) dualDir(j int, v float64) float64 {
 }
 
 // dualPivot performs one dual iteration for leaving row r: BTRAN the pivot
-// row through the eta stack, price every nonbasic column, run the
-// bound-flipping Harris two-pass dual ratio test, and commit the resulting
-// flips and basis exchange.
+// row, price every nonbasic column, run the bound-flipping Harris two-pass
+// dual ratio test, and commit the resulting flips and basis exchange.
 func (s *simplex) dualPivot(r int, tol float64) dualPivotStatus {
 	out := s.basis[r]
 	// V is the signed violation of the leaving variable; it leaves at the
@@ -223,7 +217,7 @@ func (s *simplex) dualPivot(r int, tol float64) dualPivotStatus {
 	default:
 		return dualPivotStall
 	}
-	s.btranRow(r, s.rowr)
+	s.btranRow(r)
 	// α_j = (B⁻¹A_j)_r for every nonbasic column. Eligible candidates move
 	// the row value toward its bound: sign(α_j·dir_j) = sign(V).
 	elig := s.elig[:0]
@@ -345,22 +339,21 @@ func (s *simplex) dualExchange(r, q, out int, leaveAt varStatus, tol float64) du
 			s.xval[j], s.stat[j] = s.lo[j], statusAtLower
 			dlt = -span
 		}
-		s.ftranCol(j, s.w2)
+		s.ftranInto(j, s.w2)
 		for i := 0; i < s.m; i++ {
 			s.xval[s.basis[i]] -= dlt * s.w2[i]
 		}
 	}
 	s.flips = s.flips[:0]
-	// Fresh spike through the eta stack. The pivot-row entry must agree
-	// with the priced α in magnitude and sign; a disagreement means the
-	// stack has drifted — refactorise and retry with exact numbers.
-	s.ftranCol(q, s.w)
+	// Fresh spike. The pivot-row entry must agree with the priced α in
+	// magnitude and sign; a disagreement means the eta file has drifted —
+	// refactorise and retry with exact numbers.
+	s.ftranSpike(q)
 	piv := s.w[r]
 	if math.Abs(piv) <= num.PivotTol || piv*s.alpha[q] < 0 {
-		if s.eta.count() == 0 {
+		if s.eta.count() == 0 || !s.refactor() {
 			return dualPivotStall
 		}
-		s.refactorEta()
 		s.refreshDualCosts()
 		return dualPivotRetry
 	}
@@ -373,9 +366,7 @@ func (s *simplex) dualExchange(r, q, out int, leaveAt varStatus, tol float64) du
 	v := s.xval[out] - bound
 	// |piv| > num.PivotTol was just checked.
 	t := v / piv
-	for i := 0; i < s.m; i++ {
-		s.xval[s.basis[i]] -= t * s.w[i]
-	}
+	s.stepBasics(t)
 	// α_q and piv agree in sign and |piv| > num.PivotTol, so α_q is nonzero.
 	gamma := s.dred[q] / s.alpha[q]
 	s.xval[out], s.stat[out] = bound, leaveAt
@@ -384,7 +375,6 @@ func (s *simplex) dualExchange(r, q, out int, leaveAt varStatus, tol float64) du
 	s.stat[q] = statusBasic
 	s.basis[r] = q
 	s.inRow[q] = r
-	s.eta.push(r, s.w)
 	s.etaCount++
 	// Incremental dual update: y gains γ·(row r of B⁻¹), so every nonbasic
 	// reduced cost drops by γ·α_j; the leaving column (α = 1 in its own
@@ -402,8 +392,7 @@ func (s *simplex) dualExchange(r, q, out int, leaveAt varStatus, tol float64) du
 	s.dred[q] = 0
 	s.dred[out] = -gamma
 	s.noteDegeneracy(math.Abs(gamma), tol)
-	if s.eta.count() >= etaCapMax || s.eta.nnz() >= etaSpikeFactor*s.m {
-		s.refactorEta()
+	if s.pushEta(r) {
 		s.refreshDualCosts()
 	}
 	return dualPivotOK

@@ -1,35 +1,35 @@
 package lp
 
-// eta.go implements the product-form eta file used by the dual-simplex warm
-// path: after k basis exchanges the current basis inverse is
+// eta.go implements the product-form eta file shared by every simplex
+// path — primal, repair, artificial eviction and dual. After k basis
+// exchanges the current basis inverse is
 //
 //	B⁻¹ = E_k · E_{k-1} ··· E_1 · B₀⁻¹
 //
-// where B₀⁻¹ is the dense inverse held in simplex.binv (as produced by
-// installBasis or the last refactorisation) and each E is an elementary
+// where B₀ is the basis at the last factorisation, held as the triangular
+// peel's factors (simplex.lu, factor.go), and each E is an elementary
 // matrix differing from the identity in a single column. A basis exchange
-// therefore costs O(nnz(spike)) to record instead of the O(m²) eager rank-1
-// update of the primal path, and the dual pricing row — which starts as a
-// unit vector and gains at most one fill-in per eta — is recovered in
-// O(k·m) instead of O(m²).
+// costs O(nnz(spike)) to record; FTRAN solves with the factors and then
+// applies the etas in order, BTRAN applies them in reverse and then solves
+// with the factors' transpose.
 //
-// The stack is collapsed back into binv ("refactorised") when it grows past
-// etaCapMax etas or its stored fill passes etaSpikeFactor·m nonzeros,
-// preferably by re-factorising from the basis columns via the triangular
-// peel (which also recomputes the basic values, containing drift).
+// The file is the one refactorisation trigger: once it holds etaCapMax
+// etas or its stored fill passes etaSpikeFactor·m nonzeros, the basis is
+// re-peeled from its columns and the basic values are recomputed, which
+// also contains drift.
 
 const (
-	// etaCapMax bounds the eta-stack depth: past it, applying the stack to
+	// etaCapMax bounds the eta-file depth: past it, applying the file to
 	// every FTRAN/BTRAN costs more than one refactorisation amortises.
 	etaCapMax = 64
 	// etaSpikeFactor bounds the stored eta fill at etaSpikeFactor·m
-	// nonzeros: dense spikes both slow the stack down and accumulate drift
+	// nonzeros: dense spikes both slow the file down and accumulate drift
 	// faster, so they trigger the refactorisation earlier.
 	etaSpikeFactor = 8
 )
 
 // etaFile is the update stack. All storage is flat and pooled with the
-// owning simplex, so steady-state dual re-solves allocate nothing.
+// owning simplex, so steady-state re-solves allocate nothing.
 type etaFile struct {
 	pivRow []int32   // pivot row of each eta
 	pivInv []float64 // diagonal entry 1/w_r of each eta
@@ -54,21 +54,18 @@ func (e *etaFile) count() int { return len(e.pivRow) }
 func (e *etaFile) nnz() int   { return len(e.idx) }
 
 // push records the elementary update of a basis exchange with spike
-// w = B⁻¹A_enter and pivot row r. The caller guarantees |w[r]| > PivotTol.
-func (e *etaFile) push(r int, w []float64) {
-	//lint:ignore rentlint/nanprop the dual ratio test only admits pivots with |w[r]| > num.PivotTol
+// w = B⁻¹A_enter, nonzero only at positions nz, and pivot row r. The
+// caller guarantees |w[r]| is above its ratio test's pivot threshold.
+func (e *etaFile) push(r int, w []float64, nz []int32) {
+	//lint:ignore rentlint/nanprop every ratio test admits only pivots with |w[r]| above a positive threshold
 	inv := 1 / w[r]
 	e.pivRow = append(e.pivRow, int32(r))
 	e.pivInv = append(e.pivInv, inv)
-	for i, wi := range w {
-		if i == r {
-			continue
+	for _, i := range nz {
+		if int(i) != r {
+			e.idx = append(e.idx, i)
+			e.val = append(e.val, -w[i]*inv)
 		}
-		if wi == 0 { //lint:ignore rentlint/floatcmp exact-zero skip: a zero spike entry contributes no off-diagonal term
-			continue
-		}
-		e.idx = append(e.idx, int32(i))
-		e.val = append(e.val, -wi*inv)
 	}
 	e.start = append(e.start, int32(len(e.idx)))
 }
@@ -90,98 +87,132 @@ func (e *etaFile) ftranApply(x []float64) {
 	}
 }
 
-// ftranCol computes dst = B⁻¹·A_j through the eta stack: the dense base
-// inverse first, then every eta in application order.
-func (s *simplex) ftranCol(j int, dst []float64) {
-	s.ftranInto(j, dst)
+// btranApply maps the row vector yᵀ ← yᵀ·E_k···E_1 in place, last eta
+// first. Multiplying a row vector by one eta changes only the eta's pivot
+// component, which becomes the dot product of y with the eta's column.
+func (e *etaFile) btranApply(y []float64) {
+	for k := len(e.pivRow) - 1; k >= 0; k-- {
+		p := e.pivRow[k]
+		acc := y[p] * e.pivInv[k]
+		for t := e.start[k]; t < e.start[k+1]; t++ {
+			acc += y[e.idx[t]] * e.val[t]
+		}
+		y[p] = acc
+	}
+}
+
+// ftran overwrites x, a vector over constraint rows, with B⁻¹x, a vector
+// over basis positions: the factors first, then every eta in order.
+func (s *simplex) ftran(x []float64) {
+	s.lu.ftran(x, s.peel.work)
+	s.eta.ftranApply(x)
+}
+
+// btran overwrites y, a vector over basis positions, with yᵀB⁻¹, a vector
+// over constraint rows: every eta in reverse order, then the factors.
+func (s *simplex) btran(y []float64) {
+	s.eta.btranApply(y)
+	s.lu.btran(y, s.peel.work)
+}
+
+// ftranSpike computes the spike s.w = B⁻¹A_j of entering column j and
+// lists its nonzero positions in s.wnz, so that the ratio test, the
+// basic-value update and the eta push visit only those.
+func (s *simplex) ftranSpike(j int) {
+	s.ftranInto(j, s.w)
+	nz := s.wnz[:0]
+	for i, v := range s.w {
+		if v != 0 { //lint:ignore rentlint/floatcmp exact-zero skip: only nonzero spike entries move a basic value
+			nz = append(nz, int32(i))
+		}
+	}
+	s.wnz = nz
+}
+
+// ftranInto computes dst = B⁻¹·A_j, scattering the column's few nonzeros
+// straight into pivot order.
+func (s *simplex) ftranInto(j int, dst []float64) {
+	f, work := &s.lu, s.peel.work
+	clear(work)
+	switch {
+	case j < s.n:
+		c := &s.csc
+		for t := c.colPtr[j]; t < c.colPtr[j+1]; t++ {
+			work[f.rowOrd[c.rowIdx[t]]] = c.val[t]
+		}
+	case j < s.nTot:
+		work[f.rowOrd[j-s.n]] = 1
+	default:
+		work[f.rowOrd[j-s.nTot]] = s.artSgn[j-s.nTot]
+	}
+	f.ftranOrdered(work)
+	for o, i := range f.pivCol {
+		dst[i] = work[o]
+	}
 	s.eta.ftranApply(dst)
 }
 
-// btranRow computes dst = row r of the current B⁻¹, i.e.
-// e_rᵀ·E_k···E_1·B₀⁻¹. Multiplying a row vector by one eta changes exactly
-// one component (the eta's pivot position), so the intermediate vector ρ
-// stays ≤ k+1 sparse and the final combination ρᵀ·B₀⁻¹ touches only
-// nnz(ρ) dense rows of binv — O(k·m) total instead of the O(m²) a dense
-// row extraction would cost.
-func (s *simplex) btranRow(r int, dst []float64) {
-	e := &s.eta
-	rho := s.etaRho // all-zero outside the tracked nz positions (invariant)
-	nz := s.etaRhoNZ[:0]
-	rho[r] = 1
-	nz = append(nz, int32(r))
-	for k := len(e.pivRow) - 1; k >= 0; k-- {
-		p := e.pivRow[k]
-		acc := rho[p] * e.pivInv[k]
-		for t := e.start[k]; t < e.start[k+1]; t++ {
-			if v := rho[e.idx[t]]; v != 0 { //lint:ignore rentlint/floatcmp exact-zero skip: zero components contribute nothing to the dot product
-				acc += v * e.val[t]
-			}
-		}
-		if rho[p] == 0 { //lint:ignore rentlint/floatcmp exact-zero membership test: a position enters the nz list exactly once
-			nz = append(nz, p)
-		}
-		rho[p] = acc
+// btranRow computes s.rowr = row r of B⁻¹, i.e. e_rᵀB⁻¹, and lists its
+// nonzero positions in s.rownz. Through the eta file the unit vector gains
+// nonzeros only at the etas' pivot positions, so only those are carried
+// into pivot order.
+func (s *simplex) btranRow(r int) {
+	f, work, dst := &s.lu, s.peel.work, s.rowr
+	clear(dst)
+	dst[r] = 1
+	s.eta.btranApply(dst)
+	clear(work)
+	work[f.posOrd[r]] = dst[r]
+	for _, p := range s.eta.pivRow {
+		work[f.posOrd[p]] = dst[p]
 	}
-	for k := range dst {
-		dst[k] = 0
-	}
-	for _, i := range nz {
-		ri := rho[i]
-		if ri == 0 { //lint:ignore rentlint/floatcmp exact-zero skip: a zero multiplier contributes nothing
-			continue
-		}
-		row := s.binv[i]
-		for k := range dst {
-			dst[k] += ri * row[k]
+	f.btranOrdered(work)
+	clear(dst)
+	nz := s.rownz[:0]
+	for o, v := range work {
+		if v != 0 { //lint:ignore rentlint/floatcmp exact-zero skip: the row is stored sparse
+			k := f.pivRow[o]
+			dst[k] = v
+			nz = append(nz, k)
 		}
 	}
-	// Restore the all-zero scratch invariant.
-	for _, i := range nz {
-		rho[i] = 0
-	}
-	s.etaRhoNZ = nz[:0]
+	s.rownz = nz
 }
 
-// collapseEtas folds the eta stack into binv eagerly (the same elementary
-// row updates the primal pivot applies), leaving binv the true current B⁻¹
-// and the stack empty. It is the always-works fallback when the triangular
-// peel declares the basis numerically singular.
-func (s *simplex) collapseEtas() {
-	e := &s.eta
-	m := s.m
-	for k := 0; k < len(e.pivRow); k++ {
-		p := e.pivRow[k]
-		rowP := s.binv[p]
-		for t := e.start[k]; t < e.start[k+1]; t++ {
-			f := e.val[t]
-			row := s.binv[e.idx[t]]
-			for c := 0; c < m; c++ {
-				row[c] += f * rowP[c]
-			}
-		}
-		inv := e.pivInv[k]
-		for c := 0; c < m; c++ {
-			rowP[c] *= inv
-		}
+// factorize peels the current basis into fresh factors and empties the eta
+// file. The factors are built into the spare set and swapped in only on
+// success, so a numerically singular basis leaves the current factors and
+// eta file — still a valid representation of B⁻¹ — untouched.
+func (s *simplex) factorize() bool {
+	if !s.peelBasis(&s.luSpare) {
+		return false
 	}
-	e.reset()
+	s.lu, s.luSpare = s.luSpare, s.lu
+	s.eta.reset()
+	return true
 }
 
-// refactorEta re-establishes the invariant binv == B⁻¹ with an empty eta
-// stack: preferably by refactorising from the basis columns (triangular
-// peel with dense fallback, which also recomputes the basic values and so
-// contains drift), falling back to eagerly collapsing the stack into binv
-// when the basis matrix is reported numerically singular. A no-op when the
-// stack is already empty.
-func (s *simplex) refactorEta() {
-	if s.eta.count() == 0 {
-		return
+// refactor re-factorises the basis and recomputes the basic values from
+// the nonbasic rest values, containing the drift of the update sequence.
+// A numerically singular basis keeps its factors, eta file and values.
+func (s *simplex) refactor() bool {
+	if !s.factorize() {
+		return false
 	}
 	s.refactorizations++
-	if s.invertBasis() {
-		s.eta.reset()
-		s.computeBasicValues()
-		return
+	s.computeBasicValues()
+	return true
+}
+
+// pushEta records the basis exchange at row r with the spike ftranSpike
+// left in s.w, and refactorises once the eta file reaches its count or fill
+// cap. It reports whether it refactorised. A basis too close to singular
+// to re-peel keeps its etas, which still represent B⁻¹, and every later
+// push tries again.
+func (s *simplex) pushEta(r int) bool {
+	s.eta.push(r, s.w, s.wnz)
+	if s.eta.count() < etaCapMax && s.eta.nnz() < etaSpikeFactor*s.m {
+		return false
 	}
-	s.collapseEtas()
+	return s.refactor()
 }

@@ -10,6 +10,9 @@ import (
 // after a successful phase 1, replacing them with structural or slack
 // columns. Rows whose artificial cannot be replaced are linearly dependent
 // on the others; their artificial stays basic, permanently fixed at zero.
+// Each exchange pushes an eta like any other pivot, and the basis is
+// refactorised once at the end so phase 2 starts from fresh factors and
+// recomputed basic values.
 func (s *simplex) evictArtificials() {
 	for r := 0; r < s.m; r++ {
 		if s.basis[r] < s.nTot {
@@ -17,19 +20,16 @@ func (s *simplex) evictArtificials() {
 		}
 		// Row r of B⁻¹·[A | I]: find a nonbasic, non-fixed column with a
 		// usable pivot entry.
+		s.btranRow(r)
 		found := -1
-		var wFound []float64
-		for j := 0; j < s.nTot && found < 0; j++ {
+		for j := 0; j < s.nTot; j++ {
 			//lint:ignore rentlint/floatcmp fixed columns have lo and hi assigned from the same value; the check must match that exactly
 			if s.stat[j] == statusBasic || s.lo[j] == s.hi[j] {
 				continue
 			}
-			e := s.colDot(s.binv[r], j)
-			if math.Abs(e) > num.EvictPivotTol {
+			if math.Abs(s.colDot(s.rowr, j)) > num.EvictPivotTol {
 				found = j
-				// s.w is free between phases; reuse it for the FTRAN column.
-				s.ftranInto(j, s.w)
-				wFound = s.w
+				break
 			}
 		}
 		if found < 0 {
@@ -40,8 +40,10 @@ func (s *simplex) evictArtificials() {
 		}
 		// Degenerate exchange: the artificial sits at zero, so swapping it
 		// for column `found` does not move the primal point. The entering
-		// column keeps its current (bound) value; only the basis and B⁻¹
-		// change. Since x_enter stays put, basic values are unchanged.
+		// column keeps its current (bound) value; only the basis changes.
+		// The spike's entry w[r] is the pivot that just passed the
+		// EvictPivotTol test.
+		s.ftranSpike(found)
 		out := s.basis[r]
 		s.stat[out] = statusAtLower
 		s.xval[out] = 0
@@ -50,26 +52,7 @@ func (s *simplex) evictArtificials() {
 		s.basis[r] = found
 		s.stat[found] = statusBasic
 		s.inRow[found] = r
-		piv := wFound[r]
-		rowR := s.binv[r]
-		//lint:ignore rentlint/nanprop wFound[r] is the entry e that passed |e| > num.EvictPivotTol above, so piv is nonzero
-		inv := 1 / piv
-		for k := 0; k < s.m; k++ {
-			rowR[k] *= inv
-		}
-		for i := 0; i < s.m; i++ {
-			if i == r {
-				continue
-			}
-			f := wFound[i]
-			if f == 0 { //lint:ignore rentlint/floatcmp exact-zero skip: a zero multiplier leaves the row untouched
-				continue
-			}
-			row := s.binv[i]
-			for k := 0; k < s.m; k++ {
-				row[k] -= f * rowR[k]
-			}
-		}
+		s.pushEta(r)
 	}
-	s.refresh()
+	s.refactor()
 }

@@ -6,8 +6,159 @@ import (
 	"rentplan/internal/num"
 )
 
-// peelScratch holds the buffers of the triangular-peel refactorisation,
-// kept on the simplex so pooled solvers reuse them across refreshes.
+// basisFactors is a basis matrix B₀ in the factored form the triangular
+// peel leaves it in. Under the peel's row and column orders B₀ is block
+// lower triangular: front pivots, then one dense core block K, then back
+// pivots, every off-diagonal entry of a pivot's column lying in a later
+// pivot's row. The factors are the pivot sequence, the pivot diagonal, the
+// off-diagonal entries re-indexed by pivot order — once by column for
+// FTRAN and once by row for BTRAN — and the explicit inverse of K. Both
+// solves skip zero components, so they cost O(m) plus the entries and the
+// core rows and columns a sparse vector actually reaches, and at most
+// O(nnz(B₀) + r²) for core size r; nothing of size m² is ever stored.
+type basisFactors struct {
+	pivRow, pivCol []int32   // pivot order → constraint row, basis position
+	rowOrd, posOrd []int32   // constraint row, basis position → pivot order
+	diag           []float64 // pivot diagonal (front and back pivots)
+	// Off-diagonal entries of pivot o's column: lIdx/lVal[lPtr[o]:lPtr[o+1]],
+	// lIdx the pivot order of the entry's row, always > o. A core column
+	// keeps only its entries in back rows; its core-row entries are K's.
+	lPtr, lIdx []int32
+	lVal       []float64
+	// The same entries by row: rIdx/rVal[rPtr[o]:rPtr[o+1]] are the entries
+	// of pivot o's row, rIdx the pivot order of their column, always < o.
+	rPtr, rIdx []int32
+	rVal       []float64
+	// The core occupies pivot positions [coreStart, coreStart+coreN):
+	// coreInv[ci·coreN+k] is (K⁻¹)[ci][k] for core column ci and core row
+	// k; cx and nz are the core solve scratch.
+	coreStart, coreN int
+	coreInv, cx      []float64
+	nz               []int32
+}
+
+// ftran overwrites x, a vector over constraint rows, with B₀⁻¹x, a vector
+// over basis positions. work is m-length scratch.
+func (f *basisFactors) ftran(x, work []float64) {
+	for o, k := range f.pivRow {
+		work[o] = x[k]
+	}
+	f.ftranOrdered(work)
+	for o, i := range f.pivCol {
+		x[i] = work[o]
+	}
+}
+
+// ftranOrdered solves B₀ in place on a vector in pivot order: block forward
+// substitution, with the core block solved through K⁻¹. Slot o holds the
+// right-hand side of row pivRow[o] on entry and the value of position
+// pivCol[o] on exit.
+func (f *basisFactors) ftranOrdered(work []float64) {
+	m := len(f.pivRow)
+	cs, r := f.coreStart, f.coreN
+	f.forward(work, 0, cs)
+	if r > 0 {
+		cx, nz := f.cx[:r], f.nz[:0]
+		for k := range cx {
+			if cx[k] = work[cs+k]; cx[k] != 0 { //lint:ignore rentlint/floatcmp exact-zero skip: a zero residual contributes nothing to the core solve
+				nz = append(nz, int32(k))
+			}
+		}
+		f.nz = nz
+		if len(nz) > 0 { // otherwise the core solution is zero already
+			for ci := 0; ci < r; ci++ {
+				row := f.coreInv[ci*r : ci*r+r]
+				v := 0.0
+				for _, k := range nz {
+					v += row[k] * cx[k]
+				}
+				work[cs+ci] = v
+				scatter(work, f.lPtr, f.lIdx, f.lVal, cs+ci, v)
+			}
+		}
+	}
+	f.forward(work, cs+r, m)
+}
+
+// btran overwrites y, a vector over basis positions, with yᵀB₀⁻¹, a vector
+// over constraint rows. work is m-length scratch.
+func (f *basisFactors) btran(y, work []float64) {
+	for o, i := range f.pivCol {
+		work[o] = y[i]
+	}
+	f.btranOrdered(work)
+	for o, k := range f.pivRow {
+		y[k] = work[o]
+	}
+}
+
+// btranOrdered solves B₀ᵀ in place on a vector in pivot order: the
+// substitution of ftranOrdered run backward over the factors' rows, with
+// the core block solved through K⁻ᵀ. Slot o holds the right-hand side of
+// position pivCol[o] on entry and the value of row pivRow[o] on exit.
+func (f *basisFactors) btranOrdered(work []float64) {
+	m := len(f.pivRow)
+	cs, r := f.coreStart, f.coreN
+	f.backward(work, cs+r, m)
+	if r > 0 {
+		cx := f.cx[:r]
+		copy(cx, work[cs:cs+r])
+		for k := range cx {
+			work[cs+k] = 0
+		}
+		for ci, v := range cx {
+			if v == 0 { //lint:ignore rentlint/floatcmp exact-zero skip: a zero right-hand side contributes nothing to the core solve
+				continue
+			}
+			row := f.coreInv[ci*r : ci*r+r]
+			for k := range row {
+				work[cs+k] += row[k] * v
+			}
+		}
+		for k := cs; k < cs+r; k++ {
+			scatter(work, f.rPtr, f.rIdx, f.rVal, k, work[k])
+		}
+	}
+	f.backward(work, 0, cs)
+}
+
+// forward runs FTRAN's substitution steps for the single pivots in
+// [from, to), first to last.
+func (f *basisFactors) forward(work []float64, from, to int) {
+	for o := from; o < to; o++ {
+		if v := work[o]; v != 0 { //lint:ignore rentlint/floatcmp exact-zero skip: a zero residual needs no substitution step
+			v /= f.diag[o] // every diagonal passed the peel's |·| > num.SingularTol check
+			work[o] = v
+			scatter(work, f.lPtr, f.lIdx, f.lVal, o, v)
+		}
+	}
+}
+
+// backward runs BTRAN's substitution steps for the single pivots in
+// [from, to), last to first.
+func (f *basisFactors) backward(work []float64, from, to int) {
+	for o := to - 1; o >= from; o-- {
+		if v := work[o]; v != 0 { //lint:ignore rentlint/floatcmp exact-zero skip: a zero residual needs no substitution step
+			v /= f.diag[o] // every diagonal passed the peel's |·| > num.SingularTol check
+			work[o] = v
+			scatter(work, f.rPtr, f.rIdx, f.rVal, o, v)
+		}
+	}
+}
+
+// scatter subtracts v times the entries of line o of a pivot-ordered
+// sparse matrix from work.
+func scatter(work []float64, ptr, idx []int32, val []float64, o int, v float64) {
+	if v == 0 { //lint:ignore rentlint/floatcmp exact-zero skip: a zero multiplier updates nothing
+		return
+	}
+	for t := ptr[o]; t < ptr[o+1]; t++ {
+		work[idx[t]] -= val[t] * v
+	}
+}
+
+// peelScratch holds the working buffers of the triangular peel, kept on
+// the simplex so pooled solvers reuse them across factorisations.
 type peelScratch struct {
 	// Column structure of the basis matrix B: column i (a basis position)
 	// holds the equality-form column of s.basis[i].
@@ -23,150 +174,141 @@ type peelScratch struct {
 	rowCnt, colCnt   []int32
 	rowDone, colDone []bool
 	stackR, stackC   []int32
-	// Pivot sequence: order s → (constraint row, basis position, diagonal).
-	pivRow, pivCol   []int32
 	backRow, backCol []int32
-	diag             []float64
-	ord              []int32 // constraint row → pivot order
-	res              []float64
-	// Dense handling of the irreducible core left when the peel stalls:
-	// the r×r block matrix, its explicit inverse, and solve scratch.
-	core, coreInv []float64
-	cx, cy        []float64
+	core             []float64 // the r×r core block K, eliminated in place
+	// work is the m-length FTRAN/BTRAN scratch of the current factors.
+	work []float64
 }
 
-// invertBasisPeel rebuilds B⁻¹ by two-sided singleton peeling. Scenario-tree
-// bases are near-triangular: repeatedly removing rows with a single active
-// nonzero (collected front-to-back) and columns with a single active nonzero
-// (collected back-to-front) yields a row/column permutation under which B is
-// block lower triangular — the peel performs no arithmetic, so there is no
-// fill-in and no growth. Whatever irreducible core ("bump") remains when
-// both singleton supplies run dry — e.g. the α/χ forcing–valid 4-cycles at
-// fractional SRRP vertices — sits as one dense diagonal block between the
-// front and back pivots: front rows are zero in every core and back column
-// (those columns were still active when the front row shrank to a
-// singleton), and core rows are zero in every back column (a back column's
-// single active entry was in an already-eliminated row). The core is
-// inverted densely once, O(r³) for core size r, and each column of B⁻¹ then
-// follows from one sparse block forward substitution, O(m·(nnz/m + r²))
-// overall versus the dense elimination's O(m³). It reports false — leaving
-// s.binv untouched — when the core is too large for the block scheme to pay
-// (r > m/2), when a row or column empties unpivoted (structurally singular),
-// or when any pivot is numerically negligible; the caller falls back to
-// dense Gauss–Jordan, which owns the general case.
-func (s *simplex) invertBasisPeel() bool {
+// peelBasis factorises the current basis matrix into f by two-sided
+// singleton peeling. Scenario-tree bases are near-triangular: repeatedly
+// removing rows with a single active nonzero (collected front-to-back) and
+// columns with a single active nonzero (collected back-to-front) yields a
+// row/column permutation under which B is block lower triangular — the
+// peel performs no arithmetic, so there is no fill-in and no growth.
+// Whatever irreducible core ("bump") remains when both singleton supplies
+// run dry — e.g. the α/χ forcing–valid 4-cycles at fractional SRRP
+// vertices — sits as one dense diagonal block between the front and back
+// pivots: front rows are zero in every core and back column (those columns
+// were still active when the front row shrank to a singleton), and core
+// rows are zero in every back column (a back column's single active entry
+// was in an already-eliminated row). The core is inverted densely, O(r³);
+// a basis without singletons is one dense core, as costly as Gauss–Jordan
+// on B. It reports false when a row or column empties unpivoted
+// (structurally singular) or when any pivot is numerically negligible.
+func (s *simplex) peelBasis(f *basisFactors) bool {
 	m := s.m
-	f := &s.factor
+	ps := &s.peel
 	cs := &s.csc
 	// ---- Build the column structure of B. ----
 	maxNNZ := cs.nnz() + m // every unit column contributes one entry
-	f.colPtr = growInt32(f.colPtr, m+1)
-	f.colRow = growInt32(f.colRow, maxNNZ)
-	f.colVal = growFloat(f.colVal, maxNNZ)
+	ps.colPtr = growInt32(ps.colPtr, m+1)
+	ps.colRow = growInt32(ps.colRow, maxNNZ)
+	ps.colVal = growFloat(ps.colVal, maxNNZ)
 	pos := int32(0)
 	for i := 0; i < m; i++ {
-		f.colPtr[i] = pos
+		ps.colPtr[i] = pos
 		j := s.basis[i]
 		switch {
 		case j < s.n:
 			for t := cs.colPtr[j]; t < cs.colPtr[j+1]; t++ {
-				f.colRow[pos] = cs.rowIdx[t]
-				f.colVal[pos] = cs.val[t]
+				ps.colRow[pos] = cs.rowIdx[t]
+				ps.colVal[pos] = cs.val[t]
 				pos++
 			}
 		case j < s.nTot:
-			f.colRow[pos] = int32(j - s.n)
-			f.colVal[pos] = 1
+			ps.colRow[pos] = int32(j - s.n)
+			ps.colVal[pos] = 1
 			pos++
 		default:
-			f.colRow[pos] = int32(j - s.nTot)
-			f.colVal[pos] = s.artSgn[j-s.nTot]
+			ps.colRow[pos] = int32(j - s.nTot)
+			ps.colVal[pos] = s.artSgn[j-s.nTot]
 			pos++
 		}
 	}
-	f.colPtr[m] = pos
+	ps.colPtr[m] = pos
 	nnzB := int(pos)
 	// ---- Derive the row structure. ----
-	f.rowCnt = growInt32(f.rowCnt, m)
-	f.colCnt = growInt32(f.colCnt, m)
+	ps.rowCnt = growInt32(ps.rowCnt, m)
+	ps.colCnt = growInt32(ps.colCnt, m)
 	for k := 0; k < m; k++ {
-		f.rowCnt[k] = 0
+		ps.rowCnt[k] = 0
 	}
 	for i := 0; i < m; i++ {
-		f.colCnt[i] = f.colPtr[i+1] - f.colPtr[i]
-		for t := f.colPtr[i]; t < f.colPtr[i+1]; t++ {
-			f.rowCnt[f.colRow[t]]++
+		ps.colCnt[i] = ps.colPtr[i+1] - ps.colPtr[i]
+		for t := ps.colPtr[i]; t < ps.colPtr[i+1]; t++ {
+			ps.rowCnt[ps.colRow[t]]++
 		}
 	}
-	f.rowPtr = growInt32(f.rowPtr, m+1)
-	f.rowEnt = growInt32(f.rowEnt, nnzB)
-	f.rowVal = growFloat(f.rowVal, nnzB)
-	f.cursor = growInt32(f.cursor, m)
+	ps.rowPtr = growInt32(ps.rowPtr, m+1)
+	ps.rowEnt = growInt32(ps.rowEnt, nnzB)
+	ps.rowVal = growFloat(ps.rowVal, nnzB)
+	ps.cursor = growInt32(ps.cursor, m)
 	acc := int32(0)
 	for k := 0; k < m; k++ {
-		f.rowPtr[k] = acc
-		f.cursor[k] = acc
-		acc += f.rowCnt[k]
+		ps.rowPtr[k] = acc
+		ps.cursor[k] = acc
+		acc += ps.rowCnt[k]
 	}
-	f.rowPtr[m] = acc
+	ps.rowPtr[m] = acc
 	for i := 0; i < m; i++ {
-		for t := f.colPtr[i]; t < f.colPtr[i+1]; t++ {
-			k := f.colRow[t]
-			f.rowEnt[f.cursor[k]] = int32(i)
-			f.rowVal[f.cursor[k]] = f.colVal[t]
-			f.cursor[k]++
+		for t := ps.colPtr[i]; t < ps.colPtr[i+1]; t++ {
+			k := ps.colRow[t]
+			ps.rowEnt[ps.cursor[k]] = int32(i)
+			ps.rowVal[ps.cursor[k]] = ps.colVal[t]
+			ps.cursor[k]++
 		}
 	}
 	// ---- Two-sided singleton peel. ----
-	f.rowDone = growBool(f.rowDone, m)
-	f.colDone = growBool(f.colDone, m)
+	ps.rowDone = growBool(ps.rowDone, m)
+	ps.colDone = growBool(ps.colDone, m)
 	for k := 0; k < m; k++ {
-		f.rowDone[k], f.colDone[k] = false, false
+		ps.rowDone[k], ps.colDone[k] = false, false
 	}
-	f.stackR = f.stackR[:0]
-	f.stackC = f.stackC[:0]
+	ps.stackR = ps.stackR[:0]
+	ps.stackC = ps.stackC[:0]
 	for k := 0; k < m; k++ {
-		switch f.rowCnt[k] {
+		switch ps.rowCnt[k] {
 		case 0:
 			return false // empty row: structurally singular
 		case 1:
-			f.stackR = append(f.stackR, int32(k))
+			ps.stackR = append(ps.stackR, int32(k))
 		}
 	}
 	for i := 0; i < m; i++ {
-		switch f.colCnt[i] {
+		switch ps.colCnt[i] {
 		case 0:
 			return false // empty column: structurally singular
 		case 1:
-			f.stackC = append(f.stackC, int32(i))
+			ps.stackC = append(ps.stackC, int32(i))
 		}
 	}
 	f.pivRow = growInt32(f.pivRow, m)
 	f.pivCol = growInt32(f.pivCol, m)
 	f.diag = growFloat(f.diag, m)
-	f.backRow = f.backRow[:0]
-	f.backCol = f.backCol[:0]
+	ps.backRow = ps.backRow[:0]
+	ps.backCol = ps.backCol[:0]
 	nFront := 0
 	done := 0
 	eliminate := func(k, i int32) bool {
-		f.rowDone[k], f.colDone[i] = true, true
+		ps.rowDone[k], ps.colDone[i] = true, true
 		done++
-		for t := f.rowPtr[k]; t < f.rowPtr[k+1]; t++ {
-			if i2 := f.rowEnt[t]; !f.colDone[i2] {
-				f.colCnt[i2]--
-				if f.colCnt[i2] == 1 {
-					f.stackC = append(f.stackC, i2)
-				} else if f.colCnt[i2] == 0 {
+		for t := ps.rowPtr[k]; t < ps.rowPtr[k+1]; t++ {
+			if i2 := ps.rowEnt[t]; !ps.colDone[i2] {
+				ps.colCnt[i2]--
+				if ps.colCnt[i2] == 1 {
+					ps.stackC = append(ps.stackC, i2)
+				} else if ps.colCnt[i2] == 0 {
 					return false // column emptied without being pivoted
 				}
 			}
 		}
-		for t := f.colPtr[i]; t < f.colPtr[i+1]; t++ {
-			if k2 := f.colRow[t]; !f.rowDone[k2] {
-				f.rowCnt[k2]--
-				if f.rowCnt[k2] == 1 {
-					f.stackR = append(f.stackR, k2)
-				} else if f.rowCnt[k2] == 0 {
+		for t := ps.colPtr[i]; t < ps.colPtr[i+1]; t++ {
+			if k2 := ps.colRow[t]; !ps.rowDone[k2] {
+				ps.rowCnt[k2]--
+				if ps.rowCnt[k2] == 1 {
+					ps.stackR = append(ps.stackR, k2)
+				} else if ps.rowCnt[k2] == 0 {
 					return false // row emptied without being pivoted
 				}
 			}
@@ -174,17 +316,17 @@ func (s *simplex) invertBasisPeel() bool {
 		return true
 	}
 	for done < m {
-		if len(f.stackR) > 0 {
-			k := f.stackR[len(f.stackR)-1]
-			f.stackR = f.stackR[:len(f.stackR)-1]
-			if f.rowDone[k] {
+		if len(ps.stackR) > 0 {
+			k := ps.stackR[len(ps.stackR)-1]
+			ps.stackR = ps.stackR[:len(ps.stackR)-1]
+			if ps.rowDone[k] {
 				continue
 			}
 			// The row's single active entry is the pivot.
 			piv, pv := int32(-1), 0.0
-			for t := f.rowPtr[k]; t < f.rowPtr[k+1]; t++ {
-				if i := f.rowEnt[t]; !f.colDone[i] {
-					piv, pv = i, f.rowVal[t]
+			for t := ps.rowPtr[k]; t < ps.rowPtr[k+1]; t++ {
+				if i := ps.rowEnt[t]; !ps.colDone[i] {
+					piv, pv = i, ps.rowVal[t]
 					break
 				}
 			}
@@ -198,24 +340,24 @@ func (s *simplex) invertBasisPeel() bool {
 			}
 			continue
 		}
-		if len(f.stackC) > 0 {
-			i := f.stackC[len(f.stackC)-1]
-			f.stackC = f.stackC[:len(f.stackC)-1]
-			if f.colDone[i] {
+		if len(ps.stackC) > 0 {
+			i := ps.stackC[len(ps.stackC)-1]
+			ps.stackC = ps.stackC[:len(ps.stackC)-1]
+			if ps.colDone[i] {
 				continue
 			}
-			piv, pv := int32(-1), 0.0
-			for t := f.colPtr[i]; t < f.colPtr[i+1]; t++ {
-				if k := f.colRow[t]; !f.rowDone[k] {
-					piv, pv = k, f.colVal[t]
+			piv := int32(-1)
+			for t := ps.colPtr[i]; t < ps.colPtr[i+1]; t++ {
+				if k := ps.colRow[t]; !ps.rowDone[k] {
+					piv = k
 					break
 				}
 			}
-			if piv < 0 || math.Abs(pv) <= num.SingularTol {
+			if piv < 0 {
 				return false
 			}
-			f.backRow = append(f.backRow, piv)
-			f.backCol = append(f.backCol, i)
+			ps.backRow = append(ps.backRow, piv)
+			ps.backCol = append(ps.backCol, i)
 			if !eliminate(piv, i) {
 				return false
 			}
@@ -229,19 +371,16 @@ func (s *simplex) invertBasisPeel() bool {
 	// block lower triangular).
 	coreN := m - done
 	coreStart, coreEnd := nFront, nFront+coreN
-	if coreN > m/2 {
-		return false // core too large for the block scheme to pay off
-	}
 	if coreN > 0 {
 		ci, cj := coreStart, coreStart
 		for k := 0; k < m; k++ {
-			if !f.rowDone[k] {
+			if !ps.rowDone[k] {
 				f.pivRow[ci] = int32(k)
 				ci++
 			}
 		}
 		for i := 0; i < m; i++ {
-			if !f.colDone[i] {
+			if !ps.colDone[i] {
 				f.pivCol[cj] = int32(i)
 				cj++
 			}
@@ -250,109 +389,96 @@ func (s *simplex) invertBasisPeel() bool {
 			return false // row/column deficit: structurally singular
 		}
 	}
-	nBack := len(f.backRow)
+	nBack := len(ps.backRow)
 	for t := 0; t < nBack; t++ {
 		o := coreEnd + t
-		f.pivRow[o] = f.backRow[nBack-1-t]
-		f.pivCol[o] = f.backCol[nBack-1-t]
+		f.pivRow[o] = ps.backRow[nBack-1-t]
+		f.pivCol[o] = ps.backCol[nBack-1-t]
 	}
-	// Back-pivot diagonals were not recorded in order; fetch them now.
-	for o := coreEnd; o < m; o++ {
-		k, i := f.pivRow[o], f.pivCol[o]
-		pv := 0.0
-		for t := f.colPtr[i]; t < f.colPtr[i+1]; t++ {
-			if f.colRow[t] == k {
-				pv = f.colVal[t]
-				break
+	f.rowOrd = growInt32(f.rowOrd, m)
+	f.posOrd = growInt32(f.posOrd, m)
+	for o := 0; o < m; o++ {
+		f.rowOrd[f.pivRow[o]] = int32(o)
+		f.posOrd[f.pivCol[o]] = int32(o)
+	}
+	// ---- Off-diagonal storage in pivot order, the core block, and the
+	// back-pivot diagonals (not recorded in order during the peel). ----
+	f.coreStart, f.coreN = coreStart, coreN
+	ps.core = growFloat(ps.core, coreN*coreN)
+	for t := range ps.core {
+		ps.core[t] = 0
+	}
+	f.lPtr = growInt32(f.lPtr, m+1)
+	f.lIdx = f.lIdx[:0]
+	f.lVal = f.lVal[:0]
+	for o := 0; o < m; o++ {
+		f.lPtr[o] = int32(len(f.lIdx))
+		i := f.pivCol[o]
+		inCore := o >= coreStart && o < coreEnd
+		for t := ps.colPtr[i]; t < ps.colPtr[i+1]; t++ {
+			o2 := int(f.rowOrd[ps.colRow[t]])
+			switch {
+			case inCore && o2 >= coreStart && o2 < coreEnd:
+				ps.core[(o2-coreStart)*coreN+o-coreStart] = ps.colVal[t]
+			case o2 > o && (!inCore || o2 >= coreEnd):
+				f.lIdx = append(f.lIdx, int32(o2))
+				f.lVal = append(f.lVal, ps.colVal[t])
+			case o2 == o && !inCore:
+				f.diag[o] = ps.colVal[t]
+			default:
+				return false // not block lower triangular: cannot happen
 			}
 		}
-		if math.Abs(pv) <= num.SingularTol {
+	}
+	f.lPtr[m] = int32(len(f.lIdx))
+	// The row-wise copy, by counting sort on the row order.
+	f.rPtr = growInt32(f.rPtr, m+1)
+	for o := range f.rPtr {
+		f.rPtr[o] = 0
+	}
+	for _, o2 := range f.lIdx {
+		f.rPtr[o2+1]++
+	}
+	for o := 0; o < m; o++ {
+		f.rPtr[o+1] += f.rPtr[o]
+		ps.cursor[o] = f.rPtr[o]
+	}
+	f.rIdx = growInt32(f.rIdx, len(f.lIdx))
+	f.rVal = growFloat(f.rVal, len(f.lIdx))
+	for o := 0; o < m; o++ {
+		for t := f.lPtr[o]; t < f.lPtr[o+1]; t++ {
+			at := ps.cursor[f.lIdx[t]]
+			f.rIdx[at], f.rVal[at] = int32(o), f.lVal[t]
+			ps.cursor[f.lIdx[t]]++
+		}
+	}
+	for o := coreEnd; o < m; o++ {
+		if math.Abs(f.diag[o]) <= num.SingularTol {
 			return false
 		}
-		f.diag[o] = pv
 	}
-	f.ord = growInt32(f.ord, m)
-	for o := 0; o < m; o++ {
-		f.ord[f.pivRow[o]] = int32(o)
-	}
-	if coreN > 0 && !f.invertCore(coreStart, coreN) {
-		return false
-	}
-	// ---- One sparse block forward substitution per column of B⁻¹. ----
-	for i := 0; i < m; i++ {
-		row := s.binv[i]
-		for k := 0; k < m; k++ {
-			row[k] = 0
-		}
-	}
-	f.res = growFloat(f.res, m)
-	for o := 0; o < m; o++ {
-		f.res[o] = 0
-	}
-	subStep := func(o, r int) {
-		v := f.res[o]
-		f.res[o] = 0
-		if v == 0 { //lint:ignore rentlint/floatcmp exact-zero skip: a zero residual needs no substitution step
-			return
-		}
-		//lint:ignore rentlint/nanprop every diag passed the |·| > num.SingularTol check above
-		x := v / f.diag[o]
-		ip := f.pivCol[o]
-		s.binv[ip][r] = x
-		for t := f.colPtr[ip]; t < f.colPtr[ip+1]; t++ {
-			if o2 := int(f.ord[f.colRow[t]]); o2 > o {
-				f.res[o2] -= f.colVal[t] * x
-			}
-		}
-	}
-	for r := 0; r < m; r++ {
-		s0 := int(f.ord[r])
-		f.res[s0] = 1
-		for o := s0; o < coreStart; o++ {
-			subStep(o, r)
-		}
-		if coreN > 0 && s0 < coreEnd {
-			f.coreSolve(s, coreStart, coreN, r)
-		}
-		start := coreEnd
-		if s0 > start {
-			start = s0
-		}
-		for o := start; o < m; o++ {
-			subStep(o, r)
-		}
-	}
-	return true
+	return f.invertCore(ps.core, coreN)
 }
 
-// invertCore builds the core block K — entry (core position of constraint
-// row, core column index) over the undone rows and columns — and computes
-// its explicit inverse by Gauss–Jordan with partial pivoting. Returns false
-// on a negligible pivot, before s.binv has been touched.
-func (f *peelScratch) invertCore(coreStart, r int) bool {
-	f.core = growFloat(f.core, r*r)
+// invertCore computes the explicit inverse of the r×r core block k (entry
+// (core row, core column) at row·r+column) by Gauss–Jordan with partial
+// pivoting, destroying k. Returns false on a negligible pivot.
+func (f *basisFactors) invertCore(k []float64, r int) bool {
 	f.coreInv = growFloat(f.coreInv, r*r)
 	f.cx = growFloat(f.cx, r)
-	f.cy = growFloat(f.cy, r)
-	for t := range f.core[:r*r] {
-		f.core[t] = 0
-		f.coreInv[t] = 0
+	inv := f.coreInv
+	for t := range inv {
+		inv[t] = 0
 	}
 	for ci := 0; ci < r; ci++ {
-		f.coreInv[ci*r+ci] = 1
-		ic := f.pivCol[coreStart+ci]
-		for t := f.colPtr[ic]; t < f.colPtr[ic+1]; t++ {
-			if o := int(f.ord[f.colRow[t]]) - coreStart; o >= 0 && o < r {
-				f.core[o*r+ci] = f.colVal[t]
-			}
-		}
+		inv[ci*r+ci] = 1
 	}
 	for c := 0; c < r; c++ {
 		// Partial pivoting: swap up the largest remaining entry in column c.
-		best, bestAbs := c, math.Abs(f.core[c*r+c])
-		for k := c + 1; k < r; k++ {
-			if a := math.Abs(f.core[k*r+c]); a > bestAbs {
-				best, bestAbs = k, a
+		best, bestAbs := c, math.Abs(k[c*r+c])
+		for q := c + 1; q < r; q++ {
+			if a := math.Abs(k[q*r+c]); a > bestAbs {
+				best, bestAbs = q, a
 			}
 		}
 		if bestAbs <= num.SingularTol {
@@ -360,76 +486,31 @@ func (f *peelScratch) invertCore(coreStart, r int) bool {
 		}
 		if best != c {
 			for t := 0; t < r; t++ {
-				f.core[best*r+t], f.core[c*r+t] = f.core[c*r+t], f.core[best*r+t]
-				f.coreInv[best*r+t], f.coreInv[c*r+t] = f.coreInv[c*r+t], f.coreInv[best*r+t]
+				k[best*r+t], k[c*r+t] = k[c*r+t], k[best*r+t]
+				inv[best*r+t], inv[c*r+t] = inv[c*r+t], inv[best*r+t]
 			}
 		}
 		//lint:ignore rentlint/nanprop the pivot passed the |·| > num.SingularTol check above
-		inv := 1 / f.core[c*r+c]
+		pinv := 1 / k[c*r+c]
 		for t := 0; t < r; t++ {
-			f.core[c*r+t] *= inv
-			f.coreInv[c*r+t] *= inv
+			k[c*r+t] *= pinv
+			inv[c*r+t] *= pinv
 		}
-		for k := 0; k < r; k++ {
-			if k == c {
+		for q := 0; q < r; q++ {
+			if q == c {
 				continue
 			}
-			g := f.core[k*r+c]
+			g := k[q*r+c]
 			if g == 0 { //lint:ignore rentlint/floatcmp exact-zero skip: a zero multiplier leaves the row untouched
 				continue
 			}
 			for t := 0; t < r; t++ {
-				f.core[k*r+t] -= g * f.core[c*r+t]
-				f.coreInv[k*r+t] -= g * f.coreInv[c*r+t]
+				k[q*r+t] -= g * k[c*r+t]
+				inv[q*r+t] -= g * inv[c*r+t]
 			}
 		}
 	}
 	return true
-}
-
-// coreSolve performs the dense block step of the forward substitution for
-// B⁻¹ column rcol: consume the residuals accumulated at the core positions,
-// solve K·y = res_core through the precomputed inverse, write the solution
-// components into binv, and propagate them to the back positions. Core
-// columns have no entries in front rows (they were active when every front
-// row shrank to a singleton), so propagation only ever targets positions at
-// or beyond coreEnd.
-func (f *peelScratch) coreSolve(s *simplex, coreStart, r, rcol int) {
-	any := false
-	for ci := 0; ci < r; ci++ {
-		f.cx[ci] = f.res[coreStart+ci]
-		f.res[coreStart+ci] = 0
-		if f.cx[ci] != 0 { //lint:ignore rentlint/floatcmp exact-zero skip: zero residuals contribute nothing to the block solve
-			any = true
-		}
-		f.cy[ci] = 0
-	}
-	if !any {
-		return
-	}
-	coreEnd := coreStart + r
-	for cj := 0; cj < r; cj++ {
-		v := f.cx[cj]
-		if v == 0 { //lint:ignore rentlint/floatcmp exact-zero skip: zero residuals contribute nothing to the block solve
-			continue
-		}
-		for ci := 0; ci < r; ci++ {
-			f.cy[ci] += f.coreInv[ci*r+cj] * v
-		}
-	}
-	for ci := 0; ci < r; ci++ {
-		x := f.cy[ci]
-		if x == 0 { //lint:ignore rentlint/floatcmp exact-zero skip: a zero solution component updates nothing
-			continue
-		}
-		ip := f.pivCol[coreStart+ci]
-		s.binv[ip][rcol] = x
-		for t := f.colPtr[ip]; t < f.colPtr[ip+1]; t++ {
-			if o2 := int(f.ord[f.colRow[t]]); o2 >= coreEnd {
-				f.res[o2] -= f.colVal[t] * x
-			}
-		}
-	}
 }
 
 // growBool is growFloat for []bool.

@@ -8,7 +8,10 @@
 // Variable bounds may be infinite (math.Inf). Constraint rows are stored
 // sparse (Problem.SA); on solve entry they are compiled into an immutable
 // compressed-sparse-column form, so the hot loops — pricing, FTRAN, the
-// ratio test — iterate structural nonzeros only. The solver is written for
+// ratio test — iterate structural nonzeros only. The basis matrix is never
+// inverted: it is held as the sparse factors of a triangular peel plus an
+// eta file of the exchanges since, and every use of B⁻¹ is one FTRAN or
+// BTRAN through them (factor.go, eta.go). The solver is written for
 // the moderately sized scenario-tree problems produced by the rental-planning
 // models in this repository (hundreds to a few thousand variables and rows).
 //
@@ -230,12 +233,16 @@ type Solution struct {
 	// DualIters counts the dual-simplex pivots of a warm solve routed
 	// through the dual path (included in Iterations); zero elsewhere.
 	DualIters int
-	// EtaCount counts the product-form eta updates recorded by the dual
-	// path between refactorisations.
+	// EtaCount counts the basis exchanges of the dual path, each recorded
+	// as one eta. The primal, repair and eviction exchanges push etas into
+	// the same file but are not counted here.
 	EtaCount int
-	// Refactorizations counts basis refactorisations over the whole solve:
-	// the periodic primal refresh, post-eviction refreshes, and eta-stack
-	// collapses of the dual path.
+	// Refactorizations counts basis refactorisations over the whole solve.
+	// The one periodic trigger is the eta file reaching its count or fill
+	// cap, on any path. Besides it, the basis is refactorised once after
+	// phase 1's artificials are evicted, once at an optimum reached through
+	// etas (so the reported point comes from fresh factors), and whenever a
+	// spike disagrees with the price that chose it.
 	Refactorizations int
 }
 
@@ -245,11 +252,11 @@ type Options struct {
 	MaxIter int
 	// Tol is the feasibility/optimality tolerance; ≤0 selects num.LPTol.
 	Tol float64
-	// FullPricing disables candidate-list partial pricing and the sparse
-	// triangular refactorisation, restoring the classic loop: exact duals
-	// recomputed every pivot, a full Dantzig sweep per iteration, and
-	// dense Gauss–Jordan refactorisation. Both modes reach the same
-	// optimum (the candidate list only changes which improving column
+	// FullPricing selects the pricing rule only: it disables
+	// candidate-list partial pricing and restores the classic loop, exact
+	// duals recomputed every pivot and a full Dantzig sweep per iteration.
+	// Both modes factorise and update the basis the same way and reach the
+	// same optimum (the candidate list only changes which improving column
 	// enters first); the switch exists for A/B benchmarking and for
 	// isolating pricing regressions.
 	FullPricing bool

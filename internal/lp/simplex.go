@@ -40,14 +40,24 @@ type simplex struct {
 	cost   []float64 // phase-2 cost per column, length nAll
 	artSgn []float64 // ±1 column sign per artificial row
 
-	binv  [][]float64 // m×m basis inverse
 	basis []int       // column index basic in each row
 	inRow []int       // column → basic row, or -1
 	stat  []varStatus // column → status
 	xval  []float64   // column → current value
 
+	// The basis inverse is never formed: B⁻¹ = (eta file)·(factors of the
+	// last factorisation). lu holds the current factors, luSpare the buffers
+	// the next factorisation is built in (swapped in on success), and peel
+	// the peel's working buffers and the FTRAN/BTRAN scratch (factor.go,
+	// eta.go). Every path — primal, repair, eviction and dual — updates the
+	// basis by pushing etas and refactorises on the eta file's caps.
+	lu, luSpare basisFactors
+	peel        peelScratch
+	eta         etaFile
+
 	// scratch buffers reused across iterations.
 	y, w, acc []float64
+	wnz       []int32   // positions of the nonzeros of w (ftranSpike)
 	rhs       []float64 // residual scratch for setup/computeBasicValues
 
 	iters      int
@@ -58,38 +68,27 @@ type simplex struct {
 	cand      []int32   // nonbasic columns harvested by the last full sweep
 	candScore []float64 // harvest scores, parallel to cand during rebuild
 	candAge   int       // pivots served since the last rebuild
-	// yExact reports whether y currently equals c_B B⁻¹ exactly (recomputed
-	// from the basis) rather than maintained by the incremental per-pivot
-	// update. Optimality and unboundedness are only ever certified from
-	// exact duals.
-	yExact bool
 	// lastLeave is the basis row exchanged by the most recent pivot, or -1
-	// after a bound flip; pivotRefreshed reports whether that pivot also
-	// refactorised B⁻¹ (invalidating the incremental dual update).
-	lastLeave      int
-	pivotRefreshed bool
+	// after a bound flip.
+	lastLeave int
+	// rejected lists the columns rejectEntering excluded from pricing at
+	// the current basis; every accepted pivot clears it.
+	rejected []int32
 
 	sweeps   int // full pricing sweeps (Solution.PricingSweeps)
 	candHits int // pivots served from the candidate list
 
-	factor peelScratch // triangular-peel refactorisation scratch
-
-	// Dual-simplex and eta-file state (dual.go, eta.go). The eta stack is
-	// only ever non-empty while runDual is executing: every dual exit path
-	// that hands the basis to phase 2 or the primal repair refactorises
-	// first, so the primal loops always see binv == B⁻¹ exactly as before.
-	eta      etaFile
-	dred     []float64 // nonbasic reduced costs maintained by the dual path
-	alpha    []float64 // dual pricing row α_j = (B⁻¹A_j)_r per column
-	rowr     []float64 // BTRAN scratch: row r of the current B⁻¹
-	w2       []float64 // secondary FTRAN scratch (bound-flip spikes)
-	etaRho   []float64 // sparse BTRAN scratch, all-zero outside etaRhoNZ
-	etaRhoNZ []int32
-	elig     []int32 // dual ratio-test candidate list
-	flips    []int32 // pending bound flips of the current dual pivot
+	// Dual-simplex state (dual.go).
+	dred  []float64 // nonbasic reduced costs maintained by the dual path
+	alpha []float64 // dual pricing row α_j = (B⁻¹A_j)_r per column
+	rowr  []float64 // BTRAN scratch: row r of the current B⁻¹ (btranRow)
+	rownz []int32   // positions of the nonzeros of rowr
+	w2    []float64 // secondary FTRAN scratch (bound-flip spikes)
+	elig  []int32   // dual ratio-test candidate list
+	flips []int32   // pending bound flips of the current dual pivot
 
 	dualIters        int // dual-simplex pivots (Solution.DualIters)
-	etaCount         int // eta updates recorded (Solution.EtaCount)
+	etaCount         int // dual-path eta updates recorded (Solution.EtaCount)
 	refactorizations int // basis refactorisations (Solution.Refactorizations)
 
 	// ctx, when non-nil, is polled every ctxCheckInterval pivots; a canceled
@@ -105,10 +104,11 @@ func (s *simplex) canceled() bool {
 }
 
 // simplexPool recycles solver instances across solves, so rolling-horizon
-// replans and branch-and-bound node LPs stop re-allocating O(m²) of basis
-// inverse and O(m+n) of scratch every call. A pooled instance retains only
-// buffers — reset re-derives every semantic field, and release drops the
-// Problem/context/CSC references so nothing user-visible is pinned.
+// replans and branch-and-bound node LPs stop re-allocating the basis
+// factors, the eta file and O(m+n) of scratch every call. A pooled instance
+// retains only buffers — reset re-derives every semantic field, and release
+// drops the Problem/context/CSC references so nothing user-visible is
+// pinned.
 var simplexPool = sync.Pool{New: func() any { return new(simplex) }}
 
 func newSimplex(p *Problem, opts Options) *simplex {
@@ -160,13 +160,6 @@ func (s *simplex) reset(p *Problem, opts Options) {
 		}
 	}
 	// Artificial bounds are assigned in phase 1 setup.
-	if cap(s.binv) < m {
-		s.binv = make([][]float64, m)
-	}
-	s.binv = s.binv[:m]
-	for i := range s.binv {
-		s.binv[i] = growFloat(s.binv[i], m)
-	}
 	s.basis = growInt(s.basis, m)
 	s.inRow = growInt(s.inRow, s.nAll)
 	s.stat = growStatus(s.stat, s.nAll)
@@ -180,9 +173,7 @@ func (s *simplex) reset(p *Problem, opts Options) {
 	s.bland = false
 	s.cand = s.cand[:0]
 	s.candAge = 0
-	s.yExact = false
 	s.lastLeave = -1
-	s.pivotRefreshed = false
 	s.sweeps = 0
 	s.candHits = 0
 	s.eta.reset()
@@ -190,70 +181,13 @@ func (s *simplex) reset(p *Problem, opts Options) {
 	s.alpha = growFloat(s.alpha, s.nTot)
 	s.rowr = growFloat(s.rowr, m)
 	s.w2 = growFloat(s.w2, m)
-	s.etaRho = growFloat(s.etaRho, m)
-	// btranRow relies on etaRho being all-zero outside its tracked nonzero
-	// list; a recycled buffer holds stale values, so zero it explicitly.
-	for i := range s.etaRho {
-		s.etaRho[i] = 0
-	}
-	s.etaRhoNZ = s.etaRhoNZ[:0]
+	s.peel.work = growFloat(s.peel.work, m)
 	s.elig = s.elig[:0]
 	s.flips = s.flips[:0]
 	s.dualIters = 0
 	s.etaCount = 0
 	s.refactorizations = 0
 	s.ctx = nil
-}
-
-// colInto writes column j of the equality-form matrix into dst.
-func (s *simplex) colInto(j int, dst []float64) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	switch {
-	case j < s.n:
-		c := &s.csc
-		for t := c.colPtr[j]; t < c.colPtr[j+1]; t++ {
-			dst[c.rowIdx[t]] = c.val[t]
-		}
-	case j < s.nTot:
-		dst[j-s.n] = 1
-	default:
-		dst[j-s.nTot] = s.artSgn[j-s.nTot]
-	}
-}
-
-// ftranInto computes dst = B⁻¹·A_j, iterating only column j's nonzeros
-// against the dense rows of B⁻¹ (slack and artificial unit columns reduce
-// to a single B⁻¹ column read). Relative to the dense dot product this
-// omits only terms with an exact-zero column coefficient, which cannot
-// change any sum beyond the sign of zero partial results.
-func (s *simplex) ftranInto(j int, dst []float64) {
-	m := s.m
-	switch {
-	case j < s.n:
-		c := &s.csc
-		lo, hi := c.colPtr[j], c.colPtr[j+1]
-		for i := 0; i < m; i++ {
-			row := s.binv[i]
-			wi := 0.0
-			for t := lo; t < hi; t++ {
-				wi += row[c.rowIdx[t]] * c.val[t]
-			}
-			dst[i] = wi
-		}
-	case j < s.nTot:
-		k := j - s.n
-		for i := 0; i < m; i++ {
-			dst[i] = s.binv[i][k]
-		}
-	default:
-		k := j - s.nTot
-		sg := s.artSgn[k]
-		for i := 0; i < m; i++ {
-			dst[i] = s.binv[i][k] * sg
-		}
-	}
 }
 
 // colDot returns row · A_j over column j's nonzeros.
@@ -356,6 +290,9 @@ func (s *simplex) solvePhase2() (*Solution, error) {
 		return s.result(StatusCanceled, true), nil
 	}
 	st := s.runPhase(false)
+	if st == StatusOptimal && s.eta.count() > 0 {
+		s.refactor()
+	}
 	sol := s.result(st, true)
 	if st == StatusOptimal {
 		sol.Duals = s.dualVector(false)
@@ -366,10 +303,8 @@ func (s *simplex) solvePhase2() (*Solution, error) {
 
 // dualVector returns y = c_B B⁻¹ for the phase's cost vector: at a phase-2
 // optimum these are the row shadow prices; at a positive phase-1 optimum
-// they form a Farkas-style infeasibility certificate. The accumulation runs
-// on the pooled s.y scratch (computeDuals walks the identical terms in the
-// identical order, so the result is bit-for-bit what the historical private
-// accumulator produced) and only the exported copy is freshly allocated.
+// they form a Farkas-style infeasibility certificate. The BTRAN runs on the
+// pooled s.y scratch and only the exported copy is freshly allocated.
 func (s *simplex) dualVector(phase1 bool) []float64 {
 	s.computeDuals(phase1)
 	out := make([]float64, s.m)
@@ -423,10 +358,6 @@ func (s *simplex) setupPhase1() bool {
 			s.basis[i] = sj
 			s.stat[sj] = statusBasic
 			s.inRow[sj] = i
-			for k := 0; k < s.m; k++ {
-				s.binv[i][k] = 0
-			}
-			s.binv[i][i] = 1
 			s.artSgn[i] = 1
 			aj := s.nTot + i
 			s.lo[aj], s.hi[aj] = 0, 0
@@ -434,6 +365,7 @@ func (s *simplex) setupPhase1() bool {
 			s.stat[aj] = statusAtLower
 			s.inRow[aj] = -1
 		}
+		s.factorize() // a unit basis always factorises
 		return true
 	}
 	// General start: artificial basis carrying the residual.
@@ -449,12 +381,8 @@ func (s *simplex) setupPhase1() bool {
 		s.basis[i] = aj
 		s.inRow[aj] = i
 		s.inRow[s.n+i] = -1
-		for k := 0; k < s.m; k++ {
-			s.binv[i][k] = 0
-		}
-		//lint:ignore rentlint/nanprop artSgn is assigned ±1 a few lines above, never zero
-		s.binv[i][i] = 1 / s.artSgn[i]
 	}
+	s.factorize() // a signed unit basis always factorises
 	return false
 }
 
@@ -469,22 +397,12 @@ func (s *simplex) phaseCost(j int, phase1 bool) float64 {
 	return s.cost[j]
 }
 
-// computeDuals recomputes y = c_B B⁻¹ exactly from the current basis.
+// computeDuals computes y = c_B B⁻¹ for the current basis by one BTRAN.
 func (s *simplex) computeDuals(phase1 bool) {
-	for k := 0; k < s.m; k++ {
-		s.y[k] = 0
-	}
 	for i := 0; i < s.m; i++ {
-		cb := s.phaseCost(s.basis[i], phase1)
-		if cb == 0 { //lint:ignore rentlint/floatcmp exact-zero skip: omitting a zero coefficient changes no sum, for any rounding
-			continue
-		}
-		row := s.binv[i]
-		for k := 0; k < s.m; k++ {
-			s.y[k] += cb * row[k]
-		}
+		s.y[i] = s.phaseCost(s.basis[i], phase1)
 	}
-	s.yExact = true
+	s.btran(s.y)
 }
 
 // accumAcc recomputes acc = yᵀA over the structural columns by sweeping the
@@ -508,6 +426,7 @@ func (s *simplex) accumAcc() {
 
 // runPhase iterates pivots until optimality, unboundedness or limits.
 func (s *simplex) runPhase(phase1 bool) Status {
+	s.rejected = s.rejected[:0]
 	if s.opts.FullPricing {
 		return s.runPhaseFull(phase1)
 	}
@@ -532,14 +451,16 @@ func (s *simplex) runPhaseFull(phase1 bool) Status {
 		if enter < 0 {
 			return StatusOptimal // no improving column
 		}
-		st := s.pivot(enter, dir, false, tol)
-		if st != statusPivotOK {
-			if st == statusPivotUnbounded {
-				return StatusUnbounded
-			}
-			return StatusIterLimit
+		s.ftranSpike(enter)
+		if !s.spikeConfirms(enter, dir, phase1, tol) {
+			s.rejectEntering(enter, phase1)
+			continue
+		}
+		if s.pivot(enter, dir, false, tol) == statusPivotUnbounded {
+			return StatusUnbounded
 		}
 		s.iters++
+		s.rejected = s.rejected[:0]
 	}
 }
 
@@ -548,9 +469,9 @@ func (s *simplex) runPhaseFull(phase1 bool) Status {
 // recomputed duals) harvests the candCap() best-priced nonbasic columns;
 // subsequent pivots drain that list, re-pricing only its members, until it
 // is empty or candTTL() pivots old, whereupon the next sweep rebuilds it.
-// Optimality and unboundedness are certified exclusively from exact duals:
-// an empty sweep is already exact, and an unbounded pivot found under
-// drifted duals is retried after an exact recompute.
+// Optimality is certified only by a sweep over exact duals, and
+// unboundedness only by a spike that confirms the improvement, which does
+// not depend on the duals at all.
 func (s *simplex) runPhaseSparse(phase1 bool) Status {
 	tol := s.opts.Tol
 	s.cand = s.cand[:0]
@@ -564,7 +485,7 @@ func (s *simplex) runPhaseSparse(phase1 bool) Status {
 			return StatusCanceled
 		}
 		var enter int
-		var dir, d float64
+		var dir float64
 		fromList := false
 		if s.bland {
 			// Anti-cycling mode: exact duals and the same full
@@ -574,68 +495,91 @@ func (s *simplex) runPhaseSparse(phase1 bool) Status {
 			s.accumAcc()
 			s.sweeps++
 			enter, dir = s.priceEntering(phase1, tol)
-			if enter >= 0 {
-				if enter < s.n {
-					d = s.phaseCost(enter, phase1) - s.acc[enter]
-				} else {
-					d = s.phaseCost(enter, phase1) - s.y[enter-s.n]
-				}
-			}
 		} else {
 			enter = -1
 			if len(s.cand) > 0 && s.candAge < s.candTTL() {
-				enter, dir, d = s.pickCandidate(phase1, tol)
+				enter, dir = s.pickCandidate(phase1, tol)
 				fromList = enter >= 0
 			}
 			if enter < 0 {
-				enter, dir, d = s.rebuildCandidates(phase1, tol)
+				enter, dir = s.rebuildCandidates(phase1, tol)
 			}
 		}
 		if enter < 0 {
-			// The concluding sweep ran over exact duals: optimal.
+			// The concluding sweep found no improving column: optimal.
 			return StatusOptimal
 		}
-		st := s.pivot(enter, dir, false, tol)
-		if st == statusPivotUnbounded {
-			if s.yExact {
-				return StatusUnbounded
-			}
-			// The column was priced against drifted duals; re-certify the
-			// improving direction from exact duals before concluding. The
-			// failed pivot mutated nothing, so retrying is safe.
-			s.computeDuals(phase1)
-			s.cand = s.cand[:0]
+		s.ftranSpike(enter)
+		if !s.spikeConfirms(enter, dir, phase1, tol) {
+			s.rejectEntering(enter, phase1)
 			continue
 		}
-		if st != statusPivotOK {
-			return StatusIterLimit
+		d := s.reducedCost(enter, phase1)
+		if s.pivot(enter, dir, false, tol) == statusPivotUnbounded {
+			return StatusUnbounded
 		}
 		s.iters++
+		s.rejected = s.rejected[:0]
 		if fromList {
 			s.candHits++
 		}
 		s.candAge++
-		switch {
-		case s.lastLeave < 0:
-			// Bound flip: basis and duals unchanged.
-		case s.pivotRefreshed:
-			// The pivot refactorised B⁻¹; the eta row the incremental
-			// update needs is gone, so recompute.
-			s.computeDuals(phase1)
-		default:
-			// Basis exchange: y' = y + d·(row r of the updated B⁻¹), where
-			// d = c_j − yᵀA_j is the entering column's reduced cost and r
-			// the exchanged row. All other terms of c_B'·B'⁻¹ cancel
-			// against the eta update, so this O(m) step keeps y consistent
-			// with the new basis (up to drift, contained by the exact
-			// recomputes at every sweep).
-			row := s.binv[s.lastLeave]
-			for k := 0; k < s.m; k++ {
-				s.y[k] += d * row[k]
+		if r := s.lastLeave; r >= 0 {
+			// Basis exchange (a bound flip leaves the duals unchanged):
+			// y' = y + d·(row r of the new B⁻¹), where d = c_j − yᵀA_j is
+			// the entering column's reduced cost. All other terms of
+			// c_B'·B'⁻¹ cancel, and the row is one BTRAN of a unit vector,
+			// which touches only the factor entries it reaches.
+			s.btranRow(r)
+			for _, k := range s.rownz {
+				s.y[k] += d * s.rowr[k]
 			}
-			s.yExact = false
 		}
 	}
+}
+
+// spikeConfirms recomputes the entering column's reduced cost from its
+// spike s.w = B⁻¹A_j as c_j − c_Bᵀw and reports whether it confirms the
+// improvement pricing found in direction dir. The two agree up to
+// rounding. Where an ill-conditioned basis makes them disagree, only a
+// confirmed pivot lowers the phase objective as the iterate itself
+// measures it, so rejecting the rest keeps two pivots from undoing each
+// other forever.
+func (s *simplex) spikeConfirms(j int, dir float64, phase1 bool, tol float64) bool {
+	d := s.phaseCost(j, phase1)
+	for _, i := range s.wnz {
+		d -= s.phaseCost(s.basis[i], phase1) * s.w[i]
+	}
+	return dir*d < -tol
+}
+
+// rejectEntering handles an entering column whose spike did not confirm
+// its priced improvement. With etas on file it refactorises and recomputes
+// the duals, so the column is priced again over fresh factors; over fresh
+// factors the disagreement is the basis's own rounding, and the column is
+// excluded from pricing until the next pivot.
+func (s *simplex) rejectEntering(j int, phase1 bool) {
+	s.cand = s.cand[:0]
+	if s.eta.count() > 0 && s.refactor() {
+		s.computeDuals(phase1)
+		return
+	}
+	s.rejected = append(s.rejected, int32(j))
+}
+
+// priceable reports whether nonbasic column j may enter: not basic, not
+// fixed, and not excluded by rejectEntering at the current basis.
+func (s *simplex) priceable(j int) bool {
+	//lint:ignore rentlint/floatcmp fixed columns have lo and hi assigned from the same value; the check must match that exactly
+	if s.stat[j] == statusBasic || s.lo[j] == s.hi[j] {
+		return false
+	}
+	for _, r := range s.rejected {
+		if int(r) == j {
+			return false
+		}
+	}
+	return true
 }
 
 // candCap is the candidate-list capacity: enough breadth that a drain phase
@@ -698,14 +642,13 @@ func enteringDir(st varStatus, d, tol float64) (dir, score float64) {
 
 // pickCandidate drains the candidate list: entries that went basic, became
 // fixed, or no longer price attractively are dropped in place, and the
-// best-priced survivor is returned with its reduced cost.
-func (s *simplex) pickCandidate(phase1 bool, tol float64) (int, float64, float64) {
-	bestJ, bestDir, bestD, bestScore := -1, 0.0, 0.0, tol
+// best-priced survivor is returned with its direction.
+func (s *simplex) pickCandidate(phase1 bool, tol float64) (int, float64) {
+	bestJ, bestDir, bestScore := -1, 0.0, tol
 	keep := s.cand[:0]
 	for _, cj := range s.cand {
 		j := int(cj)
-		//lint:ignore rentlint/floatcmp fixed columns have lo and hi assigned from the same value; the check must match that exactly
-		if s.stat[j] == statusBasic || s.lo[j] == s.hi[j] {
+		if !s.priceable(j) {
 			continue
 		}
 		d := s.reducedCost(j, phase1)
@@ -715,18 +658,18 @@ func (s *simplex) pickCandidate(phase1 bool, tol float64) (int, float64, float64
 		}
 		keep = append(keep, cj)
 		if score > bestScore {
-			bestJ, bestDir, bestD, bestScore = j, dir, d, score
+			bestJ, bestDir, bestScore = j, dir, score
 		}
 	}
 	s.cand = keep
-	return bestJ, bestDir, bestD
+	return bestJ, bestDir
 }
 
 // rebuildCandidates recomputes exact duals, runs one full Dantzig sweep
 // returning the best entering column, and harvests the candCap() highest-
 // scoring eligible columns into the candidate list for the following
 // pivots to drain.
-func (s *simplex) rebuildCandidates(phase1 bool, tol float64) (int, float64, float64) {
+func (s *simplex) rebuildCandidates(phase1 bool, tol float64) (int, float64) {
 	s.computeDuals(phase1)
 	s.sweeps++
 	s.candAge = 0
@@ -734,10 +677,9 @@ func (s *simplex) rebuildCandidates(phase1 bool, tol float64) (int, float64, flo
 	s.cand = s.cand[:0]
 	s.candScore = s.candScore[:0]
 	weak := -1 // index of the lowest-scoring stored candidate once full
-	bestJ, bestDir, bestD, bestScore := -1, 0.0, 0.0, tol
+	bestJ, bestDir, bestScore := -1, 0.0, tol
 	for j := 0; j < s.nTot; j++ { // artificials never re-enter
-		//lint:ignore rentlint/floatcmp fixed columns have lo and hi assigned from the same value; the check must match that exactly
-		if s.stat[j] == statusBasic || s.lo[j] == s.hi[j] {
+		if !s.priceable(j) {
 			continue
 		}
 		d := s.reducedCost(j, phase1)
@@ -746,7 +688,7 @@ func (s *simplex) rebuildCandidates(phase1 bool, tol float64) (int, float64, flo
 			continue
 		}
 		if score > bestScore {
-			bestJ, bestDir, bestD, bestScore = j, dir, d, score
+			bestJ, bestDir, bestScore = j, dir, score
 		}
 		if len(s.cand) < kcap {
 			s.cand = append(s.cand, int32(j))
@@ -760,7 +702,7 @@ func (s *simplex) rebuildCandidates(phase1 bool, tol float64) (int, float64, flo
 			weak = argminFloat(s.candScore)
 		}
 	}
-	return bestJ, bestDir, bestD
+	return bestJ, bestDir
 }
 
 // argminFloat returns the index of the smallest element.
@@ -780,8 +722,7 @@ func (s *simplex) priceEntering(phase1 bool, tol float64) (int, float64) {
 	limit := s.nTot // artificials never re-enter
 	bestJ, bestDir, bestScore := -1, 0.0, tol
 	for j := 0; j < limit; j++ {
-		//lint:ignore rentlint/floatcmp fixed columns have lo and hi assigned from the same value; the check must match that exactly
-		if s.stat[j] == statusBasic || s.lo[j] == s.hi[j] {
+		if !s.priceable(j) {
 			continue
 		}
 		var d float64
@@ -828,31 +769,30 @@ const (
 )
 
 // pivot advances the entering column j in direction dir, performing either a
-// bound flip or a basis exchange. In repair mode (the restricted shifted
-// phase 1 run by runRepair) basic columns that violate a bound block only at
-// the bound they violate — crossing it would flip their ±1 infeasibility
-// cost mid-step — while feasible basics block as in a normal phase, so the
+// bound flip or a basis exchange; s.w must hold the spike B⁻¹A_j computed by
+// ftranSpike. In repair mode (the restricted shifted phase 1 run by
+// runRepair) basic columns that violate a bound block only at the bound
+// they violate — crossing it would flip their ±1 infeasibility cost
+// mid-step — while feasible basics block as in a normal phase, so the
 // repair never trades one violation for another.
 func (s *simplex) pivot(j int, dir float64, repair bool, tol float64) pivotStatus {
 	s.lastLeave = -1
-	s.pivotRefreshed = false
-	// w = B⁻¹ A_j (sparse FTRAN).
-	s.ftranInto(j, s.w)
 	// Ratio test: x_B(t) = x_B − t·dir·w for step t ≥ 0. The pivot
 	// threshold is relative to the column's largest entry: an absolute one
 	// admits rounding noise left by cancellation in a column of large
-	// entries as a pivot, and that pivot wrecks B⁻¹.
+	// entries as a pivot, and that pivot wrecks the basis representation.
 	tMax := math.Inf(1)
 	leave := -1
 	leaveAt := statusAtLower
 	wMax := 1.0
-	for _, wi := range s.w {
-		if a := math.Abs(wi); a > wMax {
+	for _, i := range s.wnz {
+		if a := math.Abs(s.w[i]); a > wMax {
 			wMax = a
 		}
 	}
 	pivTol := num.PivotTol * wMax
-	for i := 0; i < s.m; i++ {
+	for _, i32 := range s.wnz {
+		i := int(i32)
 		g := dir * s.w[i]
 		if math.Abs(g) <= pivTol {
 			continue
@@ -901,10 +841,7 @@ func (s *simplex) pivot(j int, dir float64, repair bool, tol float64) pivotStatu
 	if !math.IsInf(span, 1) && span < tMax {
 		// Bound flip: no basis change.
 		t := span
-		for i := 0; i < s.m; i++ {
-			bj := s.basis[i]
-			s.xval[bj] -= t * dir * s.w[i]
-		}
+		s.stepBasics(t * dir)
 		if dir > 0 {
 			s.xval[j], s.stat[j] = s.hi[j], statusAtUpper
 		} else {
@@ -917,11 +854,7 @@ func (s *simplex) pivot(j int, dir float64, repair bool, tol float64) pivotStatu
 		return statusPivotUnbounded
 	}
 	t := tMax
-	// Update primal values.
-	for i := 0; i < s.m; i++ {
-		bj := s.basis[i]
-		s.xval[bj] -= t * dir * s.w[i]
-	}
+	s.stepBasics(t * dir)
 	out := s.basis[leave]
 	if leaveAt == statusAtLower {
 		s.xval[out], s.stat[out] = s.lo[out], statusAtLower
@@ -934,33 +867,16 @@ func (s *simplex) pivot(j int, dir float64, repair bool, tol float64) pivotStatu
 	s.basis[leave] = j
 	s.inRow[j] = leave
 	s.lastLeave = leave
-	// Product-form update of B⁻¹: pivot on w[leave].
-	piv := s.w[leave]
-	rowR := s.binv[leave]
-	//lint:ignore rentlint/nanprop the ratio test only admits rows with |w| > pivTol, so piv is nonzero by construction
-	inv := 1 / piv
-	for k := 0; k < s.m; k++ {
-		rowR[k] *= inv
-	}
-	for i := 0; i < s.m; i++ {
-		if i == leave {
-			continue
-		}
-		f := s.w[i]
-		if f == 0 { //lint:ignore rentlint/floatcmp exact-zero skip: a zero multiplier leaves the row untouched
-			continue
-		}
-		row := s.binv[i]
-		for k := 0; k < s.m; k++ {
-			row[k] -= f * rowR[k]
-		}
-	}
 	s.noteDegeneracy(t, tol)
-	if s.iters%128 == 127 {
-		s.refresh()
-		s.pivotRefreshed = true
-	}
+	s.pushEta(leave) // the ratio test admitted |w[leave]| > pivTol
 	return statusPivotOK
+}
+
+// stepBasics moves every basic value by −t times its spike entry.
+func (s *simplex) stepBasics(t float64) {
+	for _, i := range s.wnz {
+		s.xval[s.basis[i]] -= t * s.w[i]
+	}
 }
 
 func (s *simplex) noteDegeneracy(t, tol float64) {
@@ -973,83 +889,6 @@ func (s *simplex) noteDegeneracy(t, tol float64) {
 		s.degenerate = 0
 		s.bland = false
 	}
-}
-
-// refresh refactorises B⁻¹ from scratch and recomputes basic values,
-// containing accumulated floating-point drift. A numerically singular basis
-// keeps the incrementally updated inverse and values untouched.
-func (s *simplex) refresh() {
-	if !s.invertBasis() {
-		return
-	}
-	s.refactorizations++
-	s.computeBasicValues()
-}
-
-// invertBasis rebuilds B⁻¹ from the current basis columns. The default
-// (sparse) mode first attempts the triangular-peel factorisation, which
-// handles the near-triangular bases of scenario-tree LPs in O(m² + m·nnz)
-// and falls back to the dense elimination whenever the basis does not peel
-// cleanly; Options.FullPricing keeps the historical dense Gauss–Jordan
-// unconditionally, preserving that path bit-for-bit. Either way false is
-// reported — leaving s.binv untouched — when the basis matrix is
-// numerically singular.
-func (s *simplex) invertBasis() bool {
-	if !s.opts.FullPricing && s.invertBasisPeel() {
-		return true
-	}
-	return s.invertBasisDense()
-}
-
-// invertBasisDense rebuilds B⁻¹ via dense Gauss–Jordan with partial
-// pivoting. It reports false — leaving s.binv untouched — when the basis
-// matrix is numerically singular.
-func (s *simplex) invertBasisDense() bool {
-	m := s.m
-	mat := make([][]float64, m)
-	for i := 0; i < m; i++ {
-		mat[i] = make([]float64, 2*m)
-	}
-	col := make([]float64, m)
-	for bi, j := range s.basis {
-		s.colInto(j, col)
-		for i := 0; i < m; i++ {
-			mat[i][bi] = col[i]
-		}
-	}
-	for i := 0; i < m; i++ {
-		mat[i][m+i] = 1
-	}
-	for c := 0; c < m; c++ {
-		p, best := -1, num.SingularTol
-		for r := c; r < m; r++ {
-			if a := math.Abs(mat[r][c]); a > best {
-				p, best = r, a
-			}
-		}
-		if p < 0 {
-			return false // singular
-		}
-		mat[c], mat[p] = mat[p], mat[c]
-		//lint:ignore rentlint/nanprop partial pivoting just swapped a row with |entry| > num.SingularTol into position c
-		inv := 1 / mat[c][c]
-		for k := c; k < 2*m; k++ {
-			mat[c][k] *= inv
-		}
-		for r := 0; r < m; r++ {
-			if r == c || mat[r][c] == 0 { //lint:ignore rentlint/floatcmp exact-zero skip: elimination of an already-zero entry is a no-op
-				continue
-			}
-			f := mat[r][c]
-			for k := c; k < 2*m; k++ {
-				mat[r][k] -= f * mat[c][k]
-			}
-		}
-	}
-	for i := 0; i < m; i++ {
-		copy(s.binv[i], mat[i][m:])
-	}
-	return true
 }
 
 // computeBasicValues recomputes x_B = B⁻¹ (b − N x_N) from the nonbasic rest
@@ -1072,13 +911,9 @@ func (s *simplex) computeBasicValues() {
 			r[c.rowIdx[t]] -= c.val[t] * v
 		}
 	}
+	s.ftran(r)
 	for i := 0; i < m; i++ {
-		v := 0.0
-		row := s.binv[i]
-		for k := 0; k < m; k++ {
-			v += row[k] * r[k]
-		}
-		s.xval[s.basis[i]] = v
+		s.xval[s.basis[i]] = r[i]
 	}
 }
 

@@ -112,8 +112,8 @@ func certifyFarkas(t *testing.T, p *Problem, y []float64) {
 }
 
 // TestSparseDenseAgreementFuzz solves 120 random LPs under both pricing
-// modes: candidate-list pricing with the sparse triangular refactorisation,
-// and full pricing with dense Gauss–Jordan refactorisation. The two may
+// modes, candidate-list and full Dantzig pricing, both over the triangular
+// peel's factors. The two may
 // pivot differently, so only the status and the optimum must agree, and
 // every infeasible verdict must carry a certified Farkas ray.
 func TestSparseDenseAgreementFuzz(t *testing.T) {

@@ -183,10 +183,11 @@ const (
 // the rows that own them, nonbasic columns at their recorded rest bound
 // re-clamped to the current problem's bounds (a branching change may have
 // moved or removed the bound a column rested on), artificials locked at
-// zero, and B⁻¹ re-factorised from scratch. Every structural deviation —
-// wrong dimensions, out-of-range or duplicate columns, inconsistent
-// status entries, unknown status values, a singular basis matrix —
-// fails the install rather than risking a corrupt start.
+// zero, and the basis matrix factorised from scratch by the triangular
+// peel. Every structural deviation — wrong dimensions, out-of-range or
+// duplicate columns, inconsistent status entries, unknown status values, a
+// singular basis matrix — fails the install rather than risking a corrupt
+// start.
 func (s *simplex) installBasis(b *Basis) warmInstall {
 	if b == nil || len(b.Columns) != s.m || len(b.Status) != s.nTot {
 		return warmInstallFailed
@@ -250,7 +251,7 @@ func (s *simplex) installBasis(b *Basis) warmInstall {
 		}
 		s.xval[j], s.stat[j] = v, st
 	}
-	if !s.invertBasis() {
+	if !s.factorize() {
 		return warmInstallFailed
 	}
 	s.computeBasicValues()
@@ -305,27 +306,20 @@ func (s *simplex) runRepair() repairOutcome {
 	// budget is a generous backstop against degenerate cycling.
 	budget := s.iters + 4*(s.m+s.n) + 100
 	for {
-		// y = d_B B⁻¹ for the dynamic infeasibility costs d.
+		// d_B: the dynamic infeasibility costs of the basic columns.
 		viol := 0
-		for k := 0; k < s.m; k++ {
-			s.y[k] = 0
-		}
 		for i := 0; i < s.m; i++ {
 			bj := s.basis[i]
-			var d float64
 			switch {
 			case s.xval[bj] < s.lo[bj]-num.FeasTol:
-				d = -1
+				s.y[i] = -1
 			case s.xval[bj] > s.hi[bj]+num.FeasTol:
-				d = 1
+				s.y[i] = 1
 			default:
+				s.y[i] = 0
 				continue
 			}
 			viol++
-			row := s.binv[i]
-			for k := 0; k < s.m; k++ {
-				s.y[k] += d * row[k]
-			}
 		}
 		if viol == 0 {
 			return repairDone
@@ -339,13 +333,15 @@ func (s *simplex) runRepair() repairOutcome {
 		if s.iters >= budget {
 			return repairStalled
 		}
-		// acc = yᵀA over structural columns.
+		// y = d_B B⁻¹, then acc = yᵀA over structural columns.
+		s.btran(s.y)
 		s.accumAcc()
 		s.sweeps++
 		enter, dir := s.priceRepair(tol)
 		if enter < 0 {
 			return repairStalled
 		}
+		s.ftranSpike(enter)
 		if st := s.pivot(enter, dir, true, tol); st != statusPivotOK {
 			return repairStalled
 		}

@@ -427,14 +427,16 @@ func (b *bnb) run() *Solution {
 }
 
 // worker pulls nodes from the shared frontier until the search terminates.
-// Each worker owns its LP clone, so node bound overrides never race.
+// Each worker's LP shares the caller's rows, costs and right-hand sides —
+// lp only ever reads C, SA, Rel and B — and owns freshly allocated bound
+// slices, so node bound overrides never race and never reach the caller's
+// Problem.
 func (b *bnb) worker(id int) {
-	work := b.p.LP.Clone()
-	if work.Lower == nil {
-		work.Lower = append([]float64(nil), b.baseLower...)
-	}
-	if work.Upper == nil {
-		work.Upper = append([]float64(nil), b.baseUpper...)
+	lpp := b.p.LP
+	work := &lp.Problem{
+		C: lpp.C, SA: lpp.SA, Rel: lpp.Rel, B: lpp.B,
+		Lower: append([]float64(nil), b.baseLower...),
+		Upper: append([]float64(nil), b.baseUpper...),
 	}
 	for {
 		nd := b.next(id)

@@ -3,6 +3,7 @@ package mip
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -255,6 +256,31 @@ func TestSerialDeterministic(t *testing.T) {
 			if sol.X[j] != first.X[j] {
 				t.Fatalf("run %d: X[%d] differs", run, j)
 			}
+		}
+	}
+}
+
+// TestParallelSolveLeavesProblemUntouched pins that workers own their node
+// bounds: a branching multi-worker solve shares the caller's rows but must
+// leave every field of the caller's Problem — the bound slices included,
+// whether given or nil — deep-equal to its input.
+func TestParallelSolveLeavesProblemUntouched(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	for trial := 0; trial < 6; trial++ {
+		p := knapsackInstance(rng, 14)
+		if trial%2 == 1 {
+			p.LP.Lower = make([]float64, len(p.LP.C)) // explicit zeros, not nil
+		}
+		before := &Problem{LP: p.LP.Clone(), Integer: append([]bool(nil), p.Integer...)}
+		sol, err := SolveWithOptions(p, Options{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status != StatusOptimal || sol.Nodes < 2 {
+			t.Fatalf("trial %d: status %v after %d nodes, want an optimum found by branching", trial, sol.Status, sol.Nodes)
+		}
+		if !reflect.DeepEqual(p, before) {
+			t.Fatalf("trial %d: the solve modified the caller's Problem", trial)
 		}
 	}
 }

@@ -213,6 +213,10 @@ func (q *PlanRequest) validate() error {
 				return fmt.Errorf("baseProbs sum to %v, want 1", sum)
 			}
 		}
+		if v := q.treeVertexBound(); v > MaxTreeVertices {
+			return fmt.Errorf("stages %d with up to %d children per vertex allow a scenario tree of at least %d vertices, over the limit of %d",
+				q.Stages, q.branchBound(), v, MaxTreeVertices)
+		}
 		if q.Model == "srrp" && len(q.Demand) != q.Stages+1 {
 			return fmt.Errorf("srrp wants %d demand slots (stages+1), got %d", q.Stages+1, len(q.Demand))
 		}
@@ -230,6 +234,45 @@ func (q *PlanRequest) validate() error {
 		return nil
 	}
 	return nil
+}
+
+// MaxTreeVertices bounds the scenario tree an srrp or step request may ask
+// for. Neither stages nor the branching is bounded on its own (maxBranch 0
+// means uncapped), so without it one request could make the daemon build an
+// exponentially large tree. The limit is 360 times the largest tree the
+// in-repo clients send (364 vertices: 5 stages, branching 3) and 13 times
+// the largest tree anything in the repository builds (9841 vertices: 8
+// stages, branching 3).
+const MaxTreeVertices = 1 << 17
+
+// branchBound returns the most children a vertex of the request's tree can
+// have: scenario.Build keeps at most len(BaseValues) below-bid states plus
+// the out-of-bid state, and a positive MaxBranch caps that total at
+// max(MaxBranch, 2), since a lone kept state always sits next to the
+// out-of-bid one.
+func (q *PlanRequest) branchBound() int {
+	b := len(q.BaseValues) + 1
+	if q.MaxBranch > 0 && q.MaxBranch < b {
+		b = max(q.MaxBranch, 2)
+	}
+	return b
+}
+
+// treeVertexBound returns Σ_{k≤Stages} bᵏ for b = branchBound(), the most
+// vertices the request's tree can have. It stops summing once the total
+// passes MaxTreeVertices, so it never overflows: every level it multiplies
+// is at most MaxTreeVertices.
+func (q *PlanRequest) treeVertexBound() int {
+	b := q.branchBound()
+	sum, level := 0, 1
+	for k := 0; k <= q.Stages; k++ {
+		sum += level
+		if sum > MaxTreeVertices {
+			break
+		}
+		level *= b
+	}
+	return sum
 }
 
 // checkSeries rejects NaN/Inf entries, negatives, and — when positive is

@@ -255,6 +255,7 @@ func TestPlanValidationErrors(t *testing.T) {
 		{"probs sum", `{"model":"srrp","class":"c1.medium","demand":[1,2],"stages":1,"bid":0.05,"rootPrice":0.03,"baseValues":[0.02,0.05],"baseProbs":[0.7,0.7]}`},
 		{"step without tenant", `{"model":"step","class":"c1.medium","demand":[1,2],"stages":1,"bid":0.05,"rootPrice":0.03,"baseValues":[0.02]}`},
 		{"step slot outside", `{"model":"step","tenant":"a","class":"c1.medium","demand":[1,2],"stages":1,"bid":0.05,"rootPrice":0.03,"baseValues":[0.02],"slot":2}`},
+		{"oversized tree", `{"model":"step","tenant":"a","class":"c1.medium","demand":[1,2],"stages":40,"bid":0.05,"rootPrice":0.03,"baseValues":[0.02]}`},
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()
@@ -332,6 +333,40 @@ func TestHealthzAndMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, body)
+		}
+	}
+}
+
+// TestValidateBoundsTreeSize pins the scenario-tree ceiling: the vertex
+// bound Σ_{k≤stages} bᵏ, with b the most children scenario.Build can keep,
+// must stay within MaxTreeVertices, for any stages and without overflow.
+func TestValidateBoundsTreeSize(t *testing.T) {
+	withStages := func(stages, maxBranch int, values ...float64) *PlanRequest {
+		q := srrpRequest()
+		q.Stages, q.MaxBranch = stages, maxBranch
+		q.Demand = make([]float64, stages+1)
+		q.BaseValues, q.BaseProbs = values, nil
+		return q
+	}
+	three := []float64{0.02, 0.04, 0.07}
+	cases := []struct {
+		name string
+		q    *PlanRequest
+		ok   bool
+	}{
+		{"perfbench serve-dp tree (364 vertices)", withStages(5, 3, three...), true},
+		{"uncapped, 4 children", withStages(8, 0, three...), true},                  // 87381
+		{"uncapped, 4 children, one stage more", withStages(9, 0, three...), false}, // 349525
+		{"maxBranch caps the children", withStages(16, 2, three...), true},          // 131071
+		{"maxBranch 1 still allows two children", withStages(17, 1, three...), false},
+		{"maxBranch above the states does not widen", withStages(9, 50, three...), false},
+		{"40 stages", withStages(40, 0, 0.02), false},
+		{"overflowing stages", withStages(1<<20, 0, three...), false},
+	}
+	for _, tc := range cases {
+		err := tc.q.validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: validate() = %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
 }
