@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt vet lint test-analysis race check bench bench-sparse bench-dual bench-benders serve-test bench-serve bench-fleet fuzz-lp
+.PHONY: build test fmt vet lint test-analysis race race-fleet check bench bench-sparse bench-dual bench-benders serve-test bench-serve bench-fleet fuzz-lp
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,12 @@ test-analysis:
 # race-check it (and everything else) before shipping.
 race:
 	$(GO) test -race ./...
+
+# Fleet shard workers build their state concurrently and write disjoint
+# ranges of one shared result; repeat the package under the race detector
+# so a rarely interleaved race, or a handover that hangs, shows up.
+race-fleet:
+	$(GO) test -race -count=10 -timeout 300s ./internal/fleet
 
 check: fmt vet lint test-analysis race
 

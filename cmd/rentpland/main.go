@@ -46,11 +46,7 @@ func main() {
 		MaxBudget:     *maxBud,
 		CacheTrees:    *trees,
 	})
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           srv,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	hs := newHTTPServer(*addr, srv)
 
 	// Graceful shutdown: stop accepting, let in-flight solves finish (their
 	// request contexts stay alive until Shutdown's grace period lapses).
@@ -73,6 +69,37 @@ func main() {
 		log.Fatal(err)
 	}
 	<-done
+}
+
+const (
+	// readTimeout bounds reading one request, body included; the body is
+	// capped at 4 MiB, so this admits clients sending 140 KiB/s or more.
+	readTimeout = 30 * time.Second
+	// idleTimeout bounds a keep-alive connection's wait for its next
+	// request. It is set because net/http would otherwise use readTimeout,
+	// and closing an idle connection just as a client reuses it fails that
+	// client's POST, which its transport does not retry.
+	idleTimeout = 2 * time.Minute
+)
+
+// newHTTPServer wraps the daemon in an http.Server whose timeouts bound
+// every phase of a connection. The write timeout runs from the end of the
+// request headers, so it covers the body read plus the longest an admitted
+// request can take (serve.Server.MaxRequestTime, from -queue and
+// -max-budget); with -budget 0 nothing bounds a solve, and no write timeout
+// is set.
+func newHTTPServer(addr string, srv *serve.Server) *http.Server {
+	hs := &http.Server{
+		Addr:              addr,
+		Handler:           srv,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	if d := srv.MaxRequestTime(); d > 0 {
+		hs.WriteTimeout = readTimeout + d
+	}
+	return hs
 }
 
 // validateFlags rejects nonsensical flag combinations before the daemon

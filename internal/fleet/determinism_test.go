@@ -1,8 +1,12 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"rentplan/internal/market"
@@ -10,13 +14,28 @@ import (
 
 // Shard-count bit-identity is the package's core contract: the partition
 // only changes which goroutine touches an ASP, never what happens to it.
+// Both populations are prime-sized, so shard ranges are uneven; the second
+// snaps its bids to a 1-cent grid, so most ASPs tie and every tie group
+// straddles shard boundaries.
 func TestShardCountBitIdentical(t *testing.T) {
+	tied := testConfig(t, 3001, 1).Population
+	for i := range tied {
+		tied[i].Bid = math.Ceil(tied[i].Bid*100) / 100
+	}
+	for _, pop := range [][]ASP{testConfig(t, 257, 1).Population, tied} {
+		shardCountBitIdentical(t, pop)
+	}
+}
+
+func shardCountBitIdentical(t *testing.T, pop []ASP) {
+	t.Helper()
 	var ref *Result
 	for _, shards := range []int{1, 4, 8} {
-		cfg := testConfig(t, 257, shards) // prime population: uneven shard ranges
+		cfg := testConfig(t, 1, shards)
+		cfg.Population = pop
 		res, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatalf("%d ASPs, shards=%d: %v", len(pop), shards, err)
 		}
 		if ref == nil {
 			ref = res
@@ -42,6 +61,77 @@ func TestShardCountBitIdentical(t *testing.T) {
 	}
 }
 
+// referenceBidOrder is the comparator sort bidOrder replaced: ascending
+// bid, ties in index order.
+func referenceBidOrder(pop []ASP) []int32 {
+	perm := make([]int32, len(pop))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := cmp.Compare(pop[a].Bid, pop[b].Bid); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return perm
+}
+
+// The radix sort must reproduce the comparator's permutation exactly, or
+// shard state would be laid out differently than before.
+func TestBidOrderMatchesComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	bids := func(n int, f func(i int) float64) []ASP {
+		pop := make([]ASP, n)
+		for i := range pop {
+			pop[i].Bid = f(i)
+		}
+		return pop
+	}
+	sampled, err := SamplePopulation(257, market.C1Medium, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := 0.06
+	ulps := bids(1000, func(int) float64 { x = math.Nextafter(x, 1); return x })
+	rng.Shuffle(len(ulps), func(i, j int) { ulps[i], ulps[j] = ulps[j], ulps[i] })
+	cases := []struct {
+		name string
+		pop  []ASP
+	}{
+		{"one ASP", bids(1, func(int) float64 { return 0.05 })},
+		{"two ASPs", bids(2, func(i int) float64 { return 0.07 - 0.04*float64(i) })},
+		{"two tied ASPs", bids(2, func(int) float64 { return 0.05 })},
+		{"257 sampled ASPs", sampled},
+		// Like the benchmark population's pile-up at the clamp ceiling.
+		{"heavy ties", bids(3000, func(int) float64 {
+			if rng.Intn(3) > 0 {
+				return 0.2
+			}
+			return float64(1+rng.Intn(20)) / 100
+		})},
+		{"one ULP apart", ulps},
+		{"many binades", bids(2000, func(i int) float64 {
+			switch i {
+			case 0:
+				return 5e-324
+			case 1:
+				return 1e300
+			}
+			return math.Max(5e-324, math.Pow(10, -323+623*rng.Float64()))
+		})},
+	}
+	for _, tc := range cases {
+		got, want := bidOrder(tc.pop), referenceBidOrder(tc.pop)
+		for k := range want {
+			if got[k] != want[k] {
+				t.Errorf("%s: sorted position %d holds ASP %d, comparator order has %d", tc.name, k, got[k], want[k])
+				break
+			}
+		}
+	}
+}
+
 func TestRepeatedRunsBitIdentical(t *testing.T) {
 	a, err := Run(testConfig(t, 100, 3))
 	if err != nil {
@@ -58,26 +148,32 @@ func TestRepeatedRunsBitIdentical(t *testing.T) {
 
 // Cancellation mid-epoch must abort promptly with ctx's error and leave no
 // worker goroutine behind (RunCtx joins its WaitGroup before returning).
+// Cancelling after the last epoch races the workers' handover, which a
+// worker that sees ctx first skips: that run must fail too, not return
+// missing outcomes or wait for them.
 func TestCancellationAbortsMidEpoch(t *testing.T) {
-	cfg := testConfig(t, 400, 4)
-	cfg.Epochs = 50
-	ctx, cancel := context.WithCancel(context.Background())
-	fired := false
-	cfg.OnEpoch = func(rep EpochReport) {
-		if rep.Epoch == 1 && !fired {
-			fired = true
-			cancel()
+	const epochs = 50
+	for _, at := range []int{1, epochs - 1} {
+		cfg := testConfig(t, 400, 4)
+		cfg.Epochs = epochs
+		ctx, cancel := context.WithCancel(context.Background())
+		fired := false
+		cfg.OnEpoch = func(rep EpochReport) {
+			if rep.Epoch == at && !fired {
+				fired = true
+				cancel()
+			}
 		}
-	}
-	res, err := RunCtx(ctx, cfg)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if res != nil {
-		t.Fatalf("cancelled run returned a result: %+v", res)
-	}
-	if !fired {
-		t.Fatal("OnEpoch hook never fired before cancellation")
+		res, err := RunCtx(ctx, cfg)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel after epoch %d: err = %v, want context.Canceled", at, err)
+		}
+		if res != nil {
+			t.Fatalf("cancel after epoch %d: cancelled run returned a result: %+v", at, res)
+		}
+		if !fired {
+			t.Fatalf("cancel after epoch %d: OnEpoch hook never fired before cancellation", at)
+		}
 	}
 }
 

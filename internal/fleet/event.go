@@ -58,13 +58,12 @@ func (w *shardWorker) runEpochLite(ctx context.Context, job epochWork) epochAck 
 
 	openPrice := job.prices[0]
 	for k := iLow; k < iHigh; k++ {
-		// Elastic demand: this epoch's multiplier and the integer instance
-		// count it implies. Both are pure functions of (meanPrice, ASP), so
-		// they are identical whichever shard the ASP lands in.
-		s := &w.st[k]
-		s.mult = epochMult(s.elast, logRatio)
-		s.inst = 1 + int64(s.mult*s.baseDemand)
-		w.wake(k, 0, s.bid >= openPrice, H, &a)
+		if w.setDemand(k, logRatio, job.epoch, &a) {
+			w.wake(k, 0, w.st[k].bid >= openPrice, H, &a)
+		}
+	}
+	if a.err != nil {
+		return a // the run stops here; the walk would settle bogus counts
 	}
 	ci := 0
 	for t := 1; t < H; t++ {
@@ -109,9 +108,10 @@ func (w *shardWorker) runEpochLite(ctx context.Context, job epochWork) epochAck 
 // sums telescope into the full-epoch prefix-sum differences. Wake and solve
 // counts are credited exactly as the event walk would.
 func (w *shardWorker) settleEpoch(k int, inBid bool, H int, job *epochWork, a *epochAck, logRatio float64) {
+	if !w.setDemand(k, logRatio, job.epoch, a) {
+		return
+	}
 	s := &w.st[k]
-	s.mult = epochMult(s.elast, logRatio)
-	s.inst = 1 + int64(s.mult*s.baseDemand)
 	wakes := int64(1 + (H-1)/int(s.horizon))
 	s.wake += wakes
 	s.solve += wakes
@@ -129,6 +129,23 @@ func (w *shardWorker) settleEpoch(k int, inBid bool, H int, job *epochWork, a *e
 		s.cost += float64(s.inst) * w.shared.lambda * float64(H)
 		s.ondem += slots
 	}
+}
+
+// setDemand sets the ASP at sorted position k to this epoch's elastic
+// demand: its multiplier and the integer instance count it implies. Both
+// are pure functions of (meanPrice, ASP), so they are identical whichever
+// shard the ASP lands in. A count the run cannot tally is recorded in a and
+// reported false.
+func (w *shardWorker) setDemand(k int, logRatio float64, epoch int, a *epochAck) bool {
+	s := &w.st[k]
+	s.mult = epochMult(s.elast, logRatio)
+	inst, ok := epochInstances(s.mult, s.baseDemand, w.shared.maxInst)
+	if !ok {
+		a.fail(epoch, w.lo+int(w.perm[k]), instancesError(s.mult, s.baseDemand))
+		return false
+	}
+	s.inst = inst
+	return true
 }
 
 // wake re-plans the ASP at sorted position k at slot t into the given

@@ -10,11 +10,12 @@
 // Populations are partitioned into contiguous shards that communicate with
 // the market loop through copy-in mailboxes — each epoch a shard receives
 // its own copies of the resampled prices, the change slots, and the prefix
-// sums, and answers with integer aggregates. No state is shared between
-// shards, every per-ASP accumulator depends only on that ASP's own event
-// sequence, and the final reduction runs serially in ASP index order, so a
-// run with Shards: N is bit-identical to the serial run (the mip/benders
-// workers convention).
+// sums, and answers with integer aggregates. Each shard builds its state on
+// its own goroutine and finally writes its outcomes into its own range of
+// the result; no other state is shared between shards, every per-ASP
+// accumulator depends only on that ASP's own event sequence, and the final
+// reduction runs serially in ASP index order, so a run with Shards: N is
+// bit-identical to the serial run (the mip/benders workers convention).
 //
 // The market loop closes the demand/price feedback the single-agent model
 // cannot express: each epoch the shards' aggregate spot demand (an integer,
@@ -102,6 +103,8 @@ type Config struct {
 	Telemetry *Telemetry
 	// OnEpoch, when non-nil, observes each epoch's report as it completes
 	// (benchmarks time epochs here; fleet itself never reads a clock).
+	// Shards build their state before their first epoch, so epoch 0's wall
+	// time includes shard set-up.
 	OnEpoch func(EpochReport)
 }
 
@@ -212,10 +215,18 @@ const epochSeedStride = 1000003
 // Run simulates the fleet to completion. See RunCtx.
 func Run(cfg *Config) (*Result, error) { return RunCtx(context.Background(), cfg) }
 
-// RunCtx simulates the fleet under a caller context. Cancellation aborts
-// mid-epoch: every shard worker exits, no goroutine leaks, and ctx's error
-// is returned. For any fixed Config (including Seed), the result is
-// bit-identical across shard counts and across repeated runs.
+// RunCtx simulates the fleet under a caller context. Each shard runs on one
+// worker goroutine, which builds the shard's bid-sorted state, simulates the
+// epochs the market loop sends it, and at the end writes the shard's
+// outcomes into its own range of Result.PerASP.
+//
+// Cancellation aborts mid-epoch: every shard worker exits, no goroutine
+// leaks, and ctx's error is returned. An ASP that cannot be planned — the
+// SRRP planner fails, or the lite planner's instance count is not finite or
+// does not fit int64 slot tallies — fails the run with an error naming the
+// epoch and the lowest such ASP index. For any fixed Config (including
+// Seed), the result is bit-identical across shard counts and across
+// repeated runs.
 func RunCtx(ctx context.Context, cfg *Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -250,11 +261,24 @@ func RunCtx(ctx context.Context, cfg *Config) (*Result, error) {
 		shared.maxBranch = 3
 	}
 
+	res := &Result{
+		PerASP:         make([]ASPOutcome, n),
+		SlotsSimulated: int64(n) * int64(cfg.Epochs) * int64(cfg.EpochHours),
+	}
+	shared.maxInst = float64(math.MaxInt64 / res.SlotsSimulated)
+
 	workers := make([]*shardWorker, cfg.Shards)
 	var wg sync.WaitGroup
 	for s := range workers {
 		lo, hi := s*n/cfg.Shards, (s+1)*n/cfg.Shards
-		workers[s] = newShardWorker(s, cfg.Population[lo:hi], lo, shared)
+		workers[s] = &shardWorker{
+			lo:     lo,
+			shared: shared,
+			pop:    cfg.Population[lo:hi],
+			out:    res.PerASP[lo:hi],
+			work:   make(chan epochWork),
+			ack:    make(chan epochAck, 1),
+		}
 		wg.Add(1)
 		go func(w *shardWorker) {
 			defer wg.Done()
@@ -318,6 +342,7 @@ func RunCtx(ctx context.Context, cfg *Config) (*Result, error) {
 			}
 		}
 		rep := EpochReport{Epoch: e, BaseSpot: base, MeanPrice: meanPrice}
+		var failure error
 		for s, w := range workers {
 			var a epochAck
 			select {
@@ -325,6 +350,9 @@ func RunCtx(ctx context.Context, cfg *Config) (*Result, error) {
 			case <-ctx.Done():
 				shutdown()
 				return nil, ctx.Err()
+			}
+			if failure == nil {
+				failure = a.err
 			}
 			rep.SpotSlots += a.spotSlots
 			rep.Wakes += a.wakes
@@ -340,6 +368,10 @@ func RunCtx(ctx context.Context, cfg *Config) (*Result, error) {
 			shutdown()
 			return nil, ctx.Err()
 		}
+		if failure != nil {
+			shutdown()
+			return nil, failure
+		}
 		base = nextBase(gc, base, cfg.Feedback, rep.SpotSlots, capacity)
 		reports = append(reports, rep)
 		if cfg.Telemetry != nil {
@@ -350,17 +382,12 @@ func RunCtx(ctx context.Context, cfg *Config) (*Result, error) {
 		}
 	}
 	shutdown()
-
-	res := &Result{
-		PerASP:         make([]ASPOutcome, n),
-		Epochs:         reports,
-		FinalBaseSpot:  base,
-		SlotsSimulated: int64(n) * int64(cfg.Epochs) * int64(cfg.EpochHours),
+	if ctx.Err() != nil {
+		// A worker that saw the cancellation before its work channel closed
+		// returned without handing its outcomes over.
+		return nil, ctx.Err()
 	}
-	for _, w := range workers {
-		st := <-w.done
-		copy(res.PerASP[st.lo:], st.outcomes)
-	}
+	res.Epochs, res.FinalBaseSpot = reports, base
 	// Serial reduction in ASP index order: the float totals are identical
 	// for every shard count because the summation order never changes.
 	for i := range res.PerASP {

@@ -234,6 +234,56 @@ func TestSRRPPlannerSmoke(t *testing.T) {
 	}
 }
 
+// An ASP the run cannot plan must fail the run by name, instead of
+// returning a silently wrong total: a multiplier that overflows fails both
+// planners and the polling oracle, and an instance count beyond int64 fails
+// the two lite engines (the SRRP planner does not rent by instance count).
+// ASP 4 fails too, and its bid sorts first, so a shard that reported the
+// first failure it met rather than the lowest index would name ASP 4.
+func TestUnplannableASPFails(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		mut       func(*ASP)
+		srrpFails bool
+	}{
+		{"multiplier overflows to +Inf", func(a *ASP) { a.Elasticity = 1e6 }, true},
+		{"count beyond int64", func(a *ASP) { a.BaseDemand = 1e300 }, false},
+	} {
+		pop, err := SamplePopulation(5, market.C1Medium, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.mut(&pop[2])
+		tc.mut(&pop[4])
+		pop[4].Bid = 1e-6
+		cfg := Config{
+			Class: market.C1Medium, Population: pop, Shards: 1,
+			Epochs: 3, EpochHours: 48, Feedback: 0.3, Seed: 7,
+		}
+		lite3, srrp := cfg, cfg
+		lite3.Shards = 3
+		srrp.Planner = PlannerSRRP
+		runs := []struct {
+			name string
+			run  func() (*Result, error)
+		}{
+			{"lite", func() (*Result, error) { return Run(&cfg) }},
+			{"lite, 3 shards", func() (*Result, error) { return Run(&lite3) }},
+			{"srrp", func() (*Result, error) { return Run(&srrp) }},
+			{"polling", func() (*Result, error) { return RunPolling(&cfg) }},
+		}
+		for _, r := range runs {
+			if r.name == "srrp" && !tc.srrpFails {
+				continue
+			}
+			res, err := r.run()
+			if err == nil || !strings.Contains(err.Error(), "ASP 2:") || res != nil {
+				t.Errorf("%s, %s: got result %v, err %v; want an error naming ASP 2", tc.name, r.name, res != nil, err)
+			}
+		}
+	}
+}
+
 func relDiff(a, b float64) float64 {
 	d := math.Abs(a - b)
 	if d == 0 {

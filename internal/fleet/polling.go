@@ -16,6 +16,8 @@ import (
 // agreement tests compare the event engine against: wake slots, solve
 // counts and integer slot aggregates match the event engine exactly, and
 // float costs agree to rounding (the two engines sum in different orders).
+// An ASP whose instance count the event engine rejects fails the walk with
+// the same error.
 func RunPolling(cfg *Config) (*Result, error) {
 	return RunPollingCtx(context.Background(), cfg)
 }
@@ -43,6 +45,7 @@ func RunPollingCtx(ctx context.Context, cfg *Config) (*Result, error) {
 		PerASP:         make([]ASPOutcome, n),
 		SlotsSimulated: int64(n) * int64(cfg.Epochs) * int64(cfg.EpochHours),
 	}
+	maxInst := float64(math.MaxInt64 / res.SlotsSimulated)
 	base := gc.BaseSpot
 	for e := 0; e < cfg.Epochs; e++ {
 		g, err := market.NewGenerator(cfg.Class, cfg.Seed+int64(e)*epochSeedStride)
@@ -68,7 +71,10 @@ func RunPollingCtx(ctx context.Context, cfg *Config) (*Result, error) {
 			asp := &cfg.Population[i]
 			o := &res.PerASP[i]
 			mult := epochMult(asp.Elasticity, logRatio)
-			inst := 1 + int64(mult*asp.BaseDemand)
+			inst, ok := epochInstances(mult, asp.BaseDemand, maxInst)
+			if !ok {
+				return nil, aspError(e, i, instancesError(mult, asp.BaseDemand))
+			}
 			var proc demand.Process = demand.Diurnal{Base: mult * asp.BaseDemand, Amp: asp.DiurnalAmp}
 			gb := 0.0
 			inBid := false

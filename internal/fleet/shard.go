@@ -1,10 +1,9 @@
 package fleet
 
 import (
-	"cmp"
 	"context"
+	"fmt"
 	"math"
-	"slices"
 
 	"rentplan/internal/market"
 )
@@ -20,6 +19,10 @@ type sharedParams struct {
 	p0       float64
 	lambda   float64
 	svcPerGB float64
+	// maxInst is math.MaxInt64 / Result.SlotsSimulated: no ASP may rent more
+	// instances in a slot, so every slot tally (per ASP, per epoch or for
+	// the whole run) fits int64.
+	maxInst float64
 }
 
 // epochWork is one epoch's copy-in mailbox message. Every slice is owned by
@@ -34,16 +37,30 @@ type epochWork struct {
 	meanPrice float64
 }
 
-// epochAck is a shard's answer for one epoch: integer aggregates only, so
-// the market loop's feedback input sums exactly under any shard count.
+// epochAck is a shard's answer for one epoch: integer aggregates, so the
+// market loop's feedback input sums exactly under any shard count, and the
+// shard's planning failure if it had one.
 type epochAck struct {
 	spotSlots, wakes, solves int64
+	// err is the epoch's failure of lowest ASP index in the shard and
+	// failASP that index; err is nil when every ASP was planned.
+	err     error
+	failASP int
 }
 
-// shardState is the final handover when the run completes.
-type shardState struct {
-	lo       int
-	outcomes []ASPOutcome
+// fail records ASP i's planning failure unless the ack already holds one
+// of lower index. Shards are contiguous index ranges and the market loop
+// reports the first failing shard's ack, so the run's error names the
+// lowest failing ASP of the first failing epoch under any shard count.
+func (a *epochAck) fail(epoch, i int, cause error) {
+	if a.err == nil || i < a.failASP {
+		a.err, a.failASP = aspError(epoch, i, cause), i
+	}
+}
+
+// aspError reports that a run could not plan ASP i in the given epoch.
+func aspError(epoch, i int, cause error) error {
+	return fmt.Errorf("fleet: epoch %d ASP %d: %w", epoch, i, cause)
 }
 
 // aspState packs one ASP's static attributes, per-epoch plan state, and
@@ -68,13 +85,16 @@ type aspState struct {
 	spot, ondem, wake, solve int64
 }
 
-// shardWorker owns a contiguous ASP range [lo, lo+n). All of its state is
-// private: the market loop communicates exclusively through the
-// work/ack/done channels.
+// shardWorker owns a contiguous ASP range [lo, lo+len(pop)). It builds its
+// state on its own goroutine (see build), and its only writes outside that
+// state are its epoch acks and, at handover, its own range out of
+// Result.PerASP; the market loop communicates through the work/ack
+// channels alone.
 type shardWorker struct {
-	id     int
 	lo     int
 	shared sharedParams
+	pop    []ASP        // the shard's population, read by build alone
+	out    []ASPOutcome // Result.PerASP[lo : lo+len(pop)]
 
 	// st holds per-ASP state in ascending-bid order; sortedBids mirrors
 	// the bid of st[k] for binary search; perm maps sorted position back
@@ -87,45 +107,66 @@ type shardWorker struct {
 
 	work chan epochWork
 	ack  chan epochAck
-	done chan shardState
 }
 
-func newShardWorker(id int, pop []ASP, lo int, shared sharedParams) *shardWorker {
-	n := len(pop)
-	w := &shardWorker{
-		id:         id,
-		lo:         lo,
-		shared:     shared,
-		st:         make([]aspState, n),
-		sortedBids: make([]float64, n),
-		perm:       make([]int32, n),
-		work:       make(chan epochWork),
-		ack:        make(chan epochAck, 1),
-		done:       make(chan shardState, 1),
-	}
-	for i := range w.perm {
-		w.perm[i] = int32(i)
-	}
-	slices.SortFunc(w.perm, func(a, b int32) int {
-		if c := cmp.Compare(pop[a].Bid, pop[b].Bid); c != 0 {
-			return c
-		}
-		// Tie-break on the original index keeps the permutation
-		// deterministic under equal bids.
-		return cmp.Compare(a, b)
-	})
+// build lays the shard's state out in ascending-bid order. It runs first
+// thing on the worker's goroutine, so the shards build concurrently and
+// the market loop prices epoch 0 meanwhile.
+func (w *shardWorker) build() {
+	w.perm = bidOrder(w.pop)
+	w.st = make([]aspState, len(w.pop))
+	w.sortedBids = make([]float64, len(w.pop))
 	for k, li := range w.perm {
-		a := pop[li]
-		w.st[k] = aspState{
-			bid:        a.Bid,
-			baseDemand: a.BaseDemand,
-			amp:        a.DiurnalAmp,
-			elast:      a.Elasticity,
-			horizon:    int32(a.PlanHorizon),
-		}
+		// Field stores into the zeroed array: a composite literal would be
+		// built in a temporary and block-copied, a fifth of the build time.
+		a, s := &w.pop[li], &w.st[k]
+		s.bid, s.baseDemand, s.amp, s.elast = a.Bid, a.BaseDemand, a.DiurnalAmp, a.Elasticity
+		s.horizon = int32(a.PlanHorizon)
 		w.sortedBids[k] = a.Bid
 	}
-	return w
+}
+
+// radixBits is bidOrder's digit width: six passes cover a 64-bit key, and
+// 2048 buckets per pass keep the scatter's write positions in cache.
+const radixBits = 11
+
+// bidOrder is the permutation that sorts pop by ascending bid, ties in
+// index order: a stable LSD radix sort over the bids' IEEE-754 bit
+// patterns, which order as the values do for the finite positive bids
+// validate admits. Keys travel with their indices, so no pass reads the
+// population, and a digit that every key shares costs no pass.
+func bidOrder(pop []ASP) []int32 {
+	const buckets, passes = 1 << radixBits, (64 + radixBits - 1) / radixBits
+	n := len(pop)
+	keys, perm := make([]uint64, n), make([]int32, n)
+	var count [passes][buckets]int
+	for i := range pop {
+		k := math.Float64bits(pop[i].Bid)
+		keys[i], perm[i] = k, int32(i)
+		for d := range count {
+			count[d][(k>>(radixBits*d))&(buckets-1)]++
+		}
+	}
+	if n < 2 {
+		return perm
+	}
+	keys2, perm2 := make([]uint64, n), make([]int32, n)
+	for d := range count {
+		c, shift := &count[d], radixBits*d
+		if c[(keys[0]>>shift)&(buckets-1)] == n {
+			continue
+		}
+		for b, sum := 0, 0; b < buckets; b++ {
+			c[b], sum = sum, sum+c[b]
+		}
+		for i, k := range keys {
+			j := &c[(k>>shift)&(buckets-1)]
+			keys2[*j], perm2[*j] = k, perm[i]
+			*j++
+		}
+		keys, keys2, perm, perm2 = keys2, keys, perm2, perm
+	}
+	return perm
 }
 
 // epochMult is the elastic demand multiplier (p0/meanPrice)^elasticity,
@@ -136,13 +177,31 @@ func epochMult(elast, logPriceRatio float64) float64 {
 	return math.Exp(elast * logPriceRatio)
 }
 
-// handover folds the accumulators into ASPOutcome in original local-index
-// order and ships them to the market loop.
+// epochInstances is the integer instance count 1+⌊mult·baseDemand⌋ the
+// lite planner rents for an ASP with this epoch multiplier. It is not ok
+// when the count is not finite or exceeds maxInst, where Go's float-to-int
+// conversion or the run's slot tallies would go wrong; both engines call
+// it, so they reject the same ASPs (see instancesError).
+func epochInstances(mult, baseDemand, maxInst float64) (inst int64, ok bool) {
+	v := mult * baseDemand
+	if !(v < maxInst) { // false for NaN too
+		return 0, false
+	}
+	return 1 + int64(v), true
+}
+
+// instancesError is the cause reported for a count epochInstances rejects.
+func instancesError(mult, baseDemand float64) error {
+	return fmt.Errorf("demand multiplier %v × base demand %v gives %v instances, beyond int64 slot tallies", mult, baseDemand, mult*baseDemand)
+}
+
+// handover folds the accumulators into ASPOutcome, in original index
+// order, straight into the shard's own range of Result.PerASP. The
+// market loop reads that range only after the worker's WaitGroup.Done.
 func (w *shardWorker) handover() {
-	out := make([]ASPOutcome, len(w.st))
 	for k := range w.st {
 		s := &w.st[k]
-		out[w.perm[k]] = ASPOutcome{
+		w.out[w.perm[k]] = ASPOutcome{
 			Cost:          s.cost,
 			DemandGB:      s.gb,
 			SpotSlots:     s.spot,
@@ -151,13 +210,14 @@ func (w *shardWorker) handover() {
 			Solves:        s.solve,
 		}
 	}
-	w.done <- shardState{lo: w.lo, outcomes: out}
 }
 
-// run is the worker loop: one epoch per mailbox message, ack after each,
-// state handover when the work channel closes. Every blocking operation
-// selects on ctx so cancellation can never strand a worker.
+// run is the worker loop: build the shard's state, then one epoch per
+// mailbox message, ack after each, handover when the work channel closes.
+// Every blocking operation selects on ctx so cancellation can never strand
+// a worker.
 func (w *shardWorker) run(ctx context.Context) {
+	w.build()
 	for {
 		select {
 		case <-ctx.Done():

@@ -43,9 +43,8 @@ func (w *shardWorker) runEpochSRRP(ctx context.Context, job epochWork) epochAck 
 		}
 		out, err := core.RunStochasticEventsCtx(ctx, cfg, bids)
 		if err != nil {
-			// Either the context was cancelled (caught above on the next
-			// iteration) or the config is degenerate for this ASP; in both
-			// cases the truncated ack is discarded by the market loop.
+			// A cancelled run returns ctx's error whatever the ack holds.
+			a.fail(job.epoch, w.lo+int(w.perm[k]), err)
 			continue
 		}
 		gb := 0.0

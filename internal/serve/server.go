@@ -125,6 +125,25 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // Registry exposes the metrics registry (for tests and embedders).
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
+// solveOverrun is how long one solve may outlast its budget: the scenario
+// tree build before it (at most MaxTreeVertices vertices) and the
+// degradation ladder's cheap rungs after the budget lapses.
+const solveOverrun = time.Second
+
+// MaxRequestTime bounds how long an admitted plan request takes from
+// admission to answer, or is 0 when nothing does: with DefaultBudget 0 a
+// request that sets no budgetMs solves unbudgeted. At most Queue requests
+// are admitted at once, and each holds a worker (and, for a step request,
+// its tenant's lock) for one solve of at most MaxBudget plus solveOverrun,
+// so even when they run one after another, as requests of one tenant do,
+// the last is answered within Queue solves.
+func (s *Server) MaxRequestTime() time.Duration {
+	if s.cfg.DefaultBudget <= 0 {
+		return 0
+	}
+	return time.Duration(cap(s.pool.queued)) * (s.cfg.MaxBudget + solveOverrun)
+}
+
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if r.Method != http.MethodPost {
