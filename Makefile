@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt vet lint test-analysis race race-fleet check bench bench-sparse bench-dual bench-benders serve-test bench-serve bench-fleet fuzz-lp
+.PHONY: build test fmt vet lint test-analysis race race-fleet check bench bench-sparse bench-dual bench-benders serve-test bench-serve bench-fleet fuzz-lp fuzz-dp
 
 build:
 	$(GO) build ./...
@@ -72,6 +72,15 @@ bench-benders:
 # internal/lp/testdata/fuzz and replays in every later go test run.
 fuzz-lp:
 	$(GO) test -run '^$$' -fuzz '^FuzzLPOracle$$' -fuzztime 20s ./internal/lp
+
+# Fuzz the tree lot-sizing DP against the map-memoised DP it replaced
+# (internal/lotsize/tree_ref_test.go) for a fixed budget: on every decoded
+# tree SolveTree must not panic, must fail whenever validation rejects the
+# problem, and must otherwise match the reference bit for bit. A failing
+# input is written to internal/lotsize/testdata/fuzz and replays in every
+# later go test run.
+fuzz-dp:
+	$(GO) test -run '^$$' -fuzz '^FuzzTreeDP$$' -fuzztime 20s ./internal/lotsize
 
 # The rentpland daemon stack under the race detector: handler and
 # reentrancy suites (bit-identical concurrent-vs-serial objectives, zero

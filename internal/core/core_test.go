@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"rentplan/internal/demand"
@@ -259,6 +260,42 @@ func TestSolveSRRPErrors(t *testing.T) {
 	}
 	if _, err := SolveSRRP(par, tr, []float64{1, -1, 1}); err == nil {
 		t.Fatal("want negative demand error")
+	}
+}
+
+// TestSRRPRejectsNonFiniteDemand pins that a NaN or infinite demand is
+// rejected by name before either solve path runs; it used to reach the tree
+// DP's internal error or an lp column check.
+func TestSRRPRejectsNonFiniteDemand(t *testing.T) {
+	par := DefaultParams(market.C1Medium)
+	capPar := par
+	capPar.ConsumptionRate = 1
+	capPar.Capacity = constants(3, 1e6)
+	tr := srrpTree(t, 2, 0.06)
+	vertexDem := func(v int, d float64) []float64 {
+		dem := constants(tr.N(), 0.4)
+		dem[v] = d
+		return dem
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name  string
+		solve func() (*StochasticPlan, error)
+		want  string
+	}{
+		{"stage NaN", func() (*StochasticPlan, error) { return SolveSRRP(par, tr, []float64{1, nan, 1}) }, "at stage 1"},
+		{"stage +Inf", func() (*StochasticPlan, error) { return SolveSRRP(par, tr, []float64{1, 1, inf}) }, "at stage 2"},
+		{"capacitated stage NaN", func() (*StochasticPlan, error) { return SolveSRRP(capPar, tr, []float64{nan, 1, 1}) }, "at stage 0"},
+		{"capacitated stage +Inf", func() (*StochasticPlan, error) { return SolveSRRP(capPar, tr, []float64{1, inf, 1}) }, "at stage 1"},
+		{"vertex NaN", func() (*StochasticPlan, error) { return SolveSRRPVertexDemands(par, tr, vertexDem(3, nan)) }, "at vertex 3"},
+		{"vertex +Inf", func() (*StochasticPlan, error) { return SolveSRRPVertexDemands(par, tr, vertexDem(5, inf)) }, "at vertex 5"},
+		{"capacitated vertex NaN", func() (*StochasticPlan, error) { return SolveSRRPVertexDemands(capPar, tr, vertexDem(2, nan)) }, "at vertex 2"},
+	}
+	for _, c := range cases {
+		plan, err := c.solve()
+		if err == nil || !strings.Contains(err.Error(), "core: demand") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: plan %v, error %v; want a core demand error naming %q", c.name, plan != nil, err, c.want)
+		}
 	}
 }
 

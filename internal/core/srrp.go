@@ -72,9 +72,9 @@ func SolveSRRPCtx(ctx context.Context, par Params, tree *scenario.Tree, dem []fl
 	if len(dem) != tree.Stages() {
 		return nil, fmt.Errorf("core: %d demand stages for %d tree stages", len(dem), tree.Stages())
 	}
-	for _, d := range dem {
-		if d < 0 {
-			return nil, errors.New("core: negative demand")
+	for s, d := range dem {
+		if !isFinite(d) || d < 0 {
+			return nil, fmt.Errorf("core: demand %v at stage %d not a finite non-negative number", d, s)
 		}
 	}
 	if par.Capacitated() {

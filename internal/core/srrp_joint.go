@@ -46,8 +46,8 @@ func SolveSRRPVertexDemandsCtx(ctx context.Context, par Params, tree *scenario.T
 		return nil, fmt.Errorf("core: %d demands for %d vertices", len(dem), n)
 	}
 	for v, d := range dem {
-		if d < 0 {
-			return nil, fmt.Errorf("core: negative demand at vertex %d", v)
+		if !isFinite(d) || d < 0 {
+			return nil, fmt.Errorf("core: demand %v at vertex %d not a finite non-negative number", d, v)
 		}
 	}
 	if par.Capacitated() {

@@ -45,18 +45,35 @@ func (p *ChainProblem) validate() error {
 		return fmt.Errorf("lotsize: length mismatch: setup=%d unit=%d hold=%d demand=%d",
 			len(p.Setup), len(p.Unit), len(p.Hold), T)
 	}
-	if p.InitialInventory < 0 {
-		return errors.New("lotsize: negative initial inventory")
+	if !usable(p.InitialInventory) {
+		return fmt.Errorf("lotsize: initial inventory %g is not finite and nonnegative", p.InitialInventory)
 	}
 	for t := 0; t < T; t++ {
-		if p.Demand[t] < 0 || p.Setup[t] < 0 || p.Unit[t] < 0 || p.Hold[t] < 0 {
-			return fmt.Errorf("lotsize: negative data in slot %d", t)
-		}
-		if math.IsNaN(p.Demand[t] + p.Setup[t] + p.Unit[t] + p.Hold[t]) {
-			return fmt.Errorf("lotsize: NaN data in slot %d", t)
+		if what := badDatum(p.Setup[t], p.Unit[t], p.Hold[t], p.Demand[t]); what != "" {
+			return fmt.Errorf("lotsize: slot %d %s is not finite and nonnegative", t, what)
 		}
 	}
 	return nil
+}
+
+// usable reports whether x is a finite, nonnegative cost or demand datum;
+// NaN and ±Inf fail both comparisons.
+func usable(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
+
+// badDatum names the first of a slot's or vertex's cost and demand data that
+// is negative, NaN or infinite, or returns "" when all four are usable.
+func badDatum(setup, unit, hold, demand float64) string {
+	switch {
+	case !usable(setup):
+		return "setup cost"
+	case !usable(unit):
+		return "unit cost"
+	case !usable(hold):
+		return "holding cost"
+	case !usable(demand):
+		return "demand"
+	}
+	return ""
 }
 
 // ChainSolution is an optimal plan for a ChainProblem.

@@ -3,6 +3,7 @@ package lotsize
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"rentplan/internal/lp"
@@ -323,6 +324,60 @@ func TestChainRandomVsMILP(t *testing.T) {
 		}
 		if math.Abs(recomputed-sol.Cost) > 1e-6 {
 			t.Fatalf("trial %d: plan cost %v != reported %v", trial, recomputed, sol.Cost)
+		}
+	}
+}
+
+// TestNonFiniteDataRejected pins that both validators reject a NaN or
+// infinite datum and name where it is. Before, a NaN or infinite setup cost
+// or ε solved to a finite or infinite cost with no error, and the other
+// cases failed as an anonymous internal error.
+func TestNonFiniteDataRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	trees := []struct {
+		mut  func(p *TreeProblem)
+		want string
+	}{
+		{func(p *TreeProblem) { p.Setup[2] = nan }, "vertex 2 setup cost"},
+		{func(p *TreeProblem) { p.Setup[2] = inf }, "vertex 2 setup cost"},
+		{func(p *TreeProblem) { p.Unit[0] = inf }, "vertex 0 unit cost"},
+		{func(p *TreeProblem) { p.Hold[1] = nan }, "vertex 1 holding cost"},
+		{func(p *TreeProblem) { p.Demand[1] = nan }, "vertex 1 demand"},
+		{func(p *TreeProblem) { p.Demand[2] = inf }, "vertex 2 demand"},
+		{func(p *TreeProblem) { p.Prob[2] = nan }, "vertex 2 has probability"},
+		{func(p *TreeProblem) { p.InitialInventory = inf }, "initial inventory"},
+		{func(p *TreeProblem) { p.InitialInventory = nan }, "initial inventory"},
+	}
+	for i, c := range trees {
+		p := &TreeProblem{
+			Parent: []int{-1, 0, 0}, Prob: []float64{1, 0.5, 0.5},
+			Setup: []float64{1, 1, 1}, Unit: []float64{1, 1, 1},
+			Hold: []float64{0.1, 0.1, 0.1}, Demand: []float64{1, 2, 3},
+		}
+		c.mut(p)
+		if sol, err := SolveTree(p); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("tree case %d: solution %v, error %v; want an error naming %q", i, sol != nil, err, c.want)
+		}
+	}
+	chains := []struct {
+		mut  func(p *ChainProblem)
+		want string
+	}{
+		{func(p *ChainProblem) { p.Hold[2] = inf }, "slot 2 holding cost"},
+		{func(p *ChainProblem) { p.Demand[1] = nan }, "slot 1 demand"},
+		{func(p *ChainProblem) { p.Setup[0] = math.Inf(-1) }, "slot 0 setup cost"},
+		{func(p *ChainProblem) { p.Unit[1] = inf }, "slot 1 unit cost"},
+		{func(p *ChainProblem) { p.InitialInventory = nan }, "initial inventory"},
+		{func(p *ChainProblem) { p.InitialInventory = inf }, "initial inventory"},
+	}
+	for i, c := range chains {
+		p := &ChainProblem{
+			Setup: []float64{1, 1, 1}, Unit: []float64{1, 1, 1},
+			Hold: []float64{0.1, 0.1, 0.1}, Demand: []float64{1, 2, 3},
+		}
+		c.mut(p)
+		if sol, err := SolveChain(p); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("chain case %d: solution %v, error %v; want an error naming %q", i, sol != nil, err, c.want)
 		}
 	}
 }

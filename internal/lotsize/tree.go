@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
+	"sync"
 )
 
 // TreeProblem is stochastic uncapacitated lot-sizing on a scenario tree —
@@ -43,18 +46,19 @@ func (p *TreeProblem) validate() error {
 	if p.Parent[0] != -1 {
 		return errors.New("lotsize: vertex 0 must be the root (Parent[0] = -1)")
 	}
-	if p.InitialInventory < 0 {
-		return errors.New("lotsize: negative initial inventory")
+	if !usable(p.InitialInventory) {
+		return fmt.Errorf("lotsize: initial inventory %g is not finite and nonnegative", p.InitialInventory)
 	}
 	for v := 0; v < n; v++ {
 		if v > 0 && (p.Parent[v] < 0 || p.Parent[v] >= v) {
 			return fmt.Errorf("lotsize: vertex %d has invalid parent %d (need topological order)", v, p.Parent[v])
 		}
-		if p.Prob[v] <= 0 || p.Prob[v] > 1+1e-9 {
+		// !(p > 0) also rejects NaN; the upper bound rejects +Inf.
+		if !(p.Prob[v] > 0) || p.Prob[v] > 1+1e-9 {
 			return fmt.Errorf("lotsize: vertex %d has probability %g outside (0,1]", v, p.Prob[v])
 		}
-		if p.Demand[v] < 0 || p.Setup[v] < 0 || p.Unit[v] < 0 || p.Hold[v] < 0 {
-			return fmt.Errorf("lotsize: negative data at vertex %d", v)
+		if what := badDatum(p.Setup[v], p.Unit[v], p.Hold[v], p.Demand[v]); what != "" {
+			return fmt.Errorf("lotsize: vertex %d %s is not finite and nonnegative", v, what)
 		}
 	}
 	return nil
@@ -85,17 +89,101 @@ type TreeSolution struct {
 // sum is a constant. Feasibility is the covering condition Y_v ≥ cumD_v.
 // Because every ĉ_v ≥ 0, an optimal solution raises Y only to values in
 // {cumD_w : w ∈ subtree(v)} (a binding future requirement), which yields a
-// finite DP over states (v, Y entering v).
+// finite DP over states (v, Y entering v). Y only ever takes the value ε or
+// a cumulative demand, so the memo is one table indexed by (v, rank of Y)
+// among the K sorted distinct values of those: n·K entries, where K ≤
+// stages+2 when demand is per stage. The working buffers come from a pool,
+// so a call allocates only its TreeSolution.
 func SolveTree(p *TreeProblem) (*TreeSolution, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	n := p.N()
-	children := make([][]int, n)
-	for v := 1; v < n; v++ {
-		children[p.Parent[v]] = append(children[p.Parent[v]], v)
+	s := newTreeScratch(p)
+	defer s.release()
+	return s.solution()
+}
+
+// treeTol is the covering tolerance of the tree DP: a supply within treeTol
+// below a cumulative demand covers it, and a target within treeTol above
+// the supply is no production.
+const treeTol = 1e-12
+
+// treeState is one memoised DP state (v, rank r of the supply entering v).
+type treeState struct {
+	cost float64
+	// next is one plus the rank of the supply leaving v: the production
+	// target, or r itself when v produces nothing. Zero marks a state not
+	// solved yet.
+	next int32
+}
+
+// treeScratch is the working state of one SolveTree call. treePool
+// recycles it, so the buffers are reused across solves; reset sizes and
+// re-derives every one, and release drops the caller's problem, so a pooled
+// scratch pins nothing of it.
+type treeScratch struct {
+	p    *TreeProblem
+	k    int       // number of ranks
+	vals []float64 // vals[r]: the value of rank r, ascending
+	cumD []float64 // path-cumulative demand
+	chat []float64 // modified unit cost ĉ_v
+	// Children of v, ascending: child[childOff[v]:childOff[v+1]].
+	childOff, child []int32
+	// Ranks of the distinct cumulative demands in v's subtree, ascending:
+	// tgt[tgtOff[v+1]:tgtOff[v]]. The lists are laid down from the last
+	// vertex to the root, so the offsets descend.
+	tgtOff, tgt []int32
+	seen        []int32     // seen[r] = v+1 once rank r is in v's target list
+	memo        []treeState // memo[v*k+r]
+	out         []int32     // the replay's rank of the supply leaving each vertex
+}
+
+var treePool = sync.Pool{New: func() any { return new(treeScratch) }}
+
+func newTreeScratch(p *TreeProblem) *treeScratch {
+	s := treePool.Get().(*treeScratch)
+	s.reset(p)
+	return s
+}
+
+// release returns the scratch to the pool. The TreeSolution shares no
+// memory with it.
+func (s *treeScratch) release() {
+	s.p = nil
+	treePool.Put(s)
+}
+
+// grow returns buf resized to n, reusing its backing array when it is large
+// enough. The contents are stale; callers overwrite or clear them.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	cumD := make([]float64, n)
+	return buf[:n]
+}
+
+// reset derives the DP's inputs for p: children, cumulative demands, ĉ, the
+// ranks and every vertex's target list, and an unsolved memo.
+func (s *treeScratch) reset(p *TreeProblem) {
+	n := p.N()
+	s.p = p
+	off, kids := grow(s.childOff, n+1), grow(s.child, n)
+	clear(off)
+	for v := 1; v < n; v++ {
+		off[p.Parent[v]+1]++
+	}
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1]
+	}
+	for v := 1; v < n; v++ { // off[u] walks u's range, ending at the next start
+		kids[off[p.Parent[v]]] = int32(v)
+		off[p.Parent[v]]++
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	s.childOff, s.child = off, kids
+
+	cumD := grow(s.cumD, n)
 	for v := 0; v < n; v++ {
 		if v == 0 {
 			cumD[0] = p.Demand[0]
@@ -103,87 +191,118 @@ func SolveTree(p *TreeProblem) (*TreeSolution, error) {
 			cumD[v] = cumD[p.Parent[v]] + p.Demand[v]
 		}
 	}
-	// Subtree holding mass H_v = Σ_{w ∈ subtree(v)} p_w·Hold_w and the
-	// modified unit cost ĉ_v, via reverse topological order.
-	H := make([]float64, n)
+	// Subtree holding mass H_v = Σ_{w ∈ subtree(v)} p_w·Hold_w in reverse
+	// topological order, then ĉ_v = p_v·Unit_v + H_v in place.
+	chat := grow(s.chat, n)
 	for v := n - 1; v >= 0; v-- {
-		H[v] = p.Prob[v] * p.Hold[v]
-		for _, c := range children[v] {
-			H[v] += H[c]
+		chat[v] = p.Prob[v] * p.Hold[v]
+		for _, c := range kids[off[v]:off[v+1]] {
+			chat[v] += chat[c]
 		}
 	}
-	chat := make([]float64, n)
 	for v := 0; v < n; v++ {
-		chat[v] = p.Prob[v]*p.Unit[v] + H[v]
+		chat[v] = p.Prob[v]*p.Unit[v] + chat[v]
 	}
-	// Candidate production targets per vertex: sorted distinct cumD values
-	// of the subtree. Built by merging children lists (reverse topo).
-	targets := make([][]float64, n)
-	for v := n - 1; v >= 0; v-- {
-		merged := []float64{cumD[v]}
-		for _, c := range children[v] {
-			merged = mergeSortedUnique(merged, targets[c])
-		}
-		targets[v] = merged
-	}
+	s.cumD, s.chat = cumD, chat
 
-	// Memoised DP over (vertex, incoming cumulative supply Y).
-	type decision struct {
-		cost    float64
-		produce bool
-		target  float64
-	}
-	memo := make([]map[float64]decision, n)
-	for v := range memo {
-		memo[v] = make(map[float64]decision)
-	}
-	const tol = 1e-12
-	var solve func(v int, y float64) float64
-	solve = func(v int, y float64) float64 {
-		if d, ok := memo[v][y]; ok {
-			return d.cost
+	vals := append(append(s.vals[:0], cumD...), p.InitialInventory)
+	slices.Sort(vals)
+	k := 0
+	for _, x := range vals {
+		if k == 0 || vals[k-1] != x { //lint:ignore rentlint/floatcmp the ranks must number exactly the keys the map memo distinguished, and map keys compare with ==
+			vals[k] = x
+			k++
 		}
-		best := decision{cost: math.Inf(1)}
-		// Option 1: no production at v (feasible if supply already covers
-		// the cumulative demand through v).
-		if y >= cumD[v]-tol {
-			c := 0.0
-			for _, ch := range children[v] {
-				c += solve(ch, y)
-			}
-			if c < best.cost {
-				best = decision{cost: c, produce: false, target: y}
-			}
-		}
-		// Option 2: produce up to a binding future requirement t > y.
-		for _, t := range targets[v] {
-			if t <= y+tol || t < cumD[v]-tol {
-				continue
-			}
-			c := p.Prob[v]*p.Setup[v] + chat[v]*(t-y)
-			if c >= best.cost {
-				continue // children costs are ≥ 0; prune
-			}
-			for _, ch := range children[v] {
-				c += solve(ch, t)
-				if c >= best.cost {
-					break
+	}
+	s.vals, s.k = vals[:k], k
+
+	// Target lists: v's own rank merged with its children's lists, which
+	// lie earlier in the arena.
+	seen, tgtOff, tgt := grow(s.seen, k), grow(s.tgtOff, n+1), s.tgt[:0]
+	clear(seen)
+	tgtOff[n] = 0
+	for v := n - 1; v >= 0; v-- {
+		start := len(tgt)
+		r := int32(sort.SearchFloat64s(s.vals, cumD[v]))
+		tgt, seen[r] = append(tgt, r), int32(v+1)
+		for _, c := range kids[off[v]:off[v+1]] {
+			for _, r := range tgt[tgtOff[c+1]:tgtOff[c]] {
+				if seen[r] != int32(v+1) {
+					tgt, seen[r] = append(tgt, r), int32(v+1)
 				}
 			}
-			if c < best.cost {
-				best = decision{cost: c, produce: true, target: t}
+		}
+		slices.Sort(tgt[start:])
+		tgtOff[v] = int32(len(tgt))
+	}
+	s.seen, s.tgtOff, s.tgt = seen, tgtOff, tgt
+
+	s.memo = grow(s.memo, n*k)
+	clear(s.memo)
+	s.out = grow(s.out, n)
+}
+
+// solve returns the least cost of v's subtree when the cumulative supply
+// entering v is vals[r], and memoises the decision that attains it.
+func (s *treeScratch) solve(v int, r int32) float64 {
+	st := &s.memo[v*s.k+int(r)]
+	if st.next != 0 {
+		return st.cost
+	}
+	p, y, kids := s.p, s.vals[r], s.child[s.childOff[v]:s.childOff[v+1]]
+	best, next := math.Inf(1), r
+	// Option 1: no production at v (feasible if supply already covers the
+	// cumulative demand through v).
+	if y >= s.cumD[v]-treeTol {
+		c := 0.0
+		for _, ch := range kids {
+			c += s.solve(int(ch), r)
+		}
+		if c < best {
+			best = c
+		}
+	}
+	// Option 2: produce up to a binding future requirement t > y.
+	for _, rt := range s.tgt[s.tgtOff[v+1]:s.tgtOff[v]] {
+		t := s.vals[rt]
+		if t <= y+treeTol || t < s.cumD[v]-treeTol {
+			continue
+		}
+		c := p.Prob[v]*p.Setup[v] + s.chat[v]*(t-y)
+		if c >= best {
+			continue // children costs are ≥ 0; prune
+		}
+		for _, ch := range kids {
+			c += s.solve(int(ch), rt)
+			if c >= best {
+				break
 			}
 		}
-		memo[v][y] = best
-		return best.cost
+		if c < best {
+			best, next = c, rt
+		}
 	}
-	root := solve(0, p.InitialInventory)
+	*st = treeState{cost: best, next: next + 1}
+	return best
+}
+
+// solution runs the DP from the root and replays its decisions top-down:
+// parents precede children, so index order visits each vertex after the
+// supply it inherits is known.
+func (s *treeScratch) solution() (*TreeSolution, error) {
+	p, n := s.p, s.p.N()
+	eps := p.InitialInventory
+	// ε = +0 may share its rank with a cumulative demand of −0; the rank
+	// then carries ε's own bits, as the map memo's first key did.
+	rEps := int32(sort.SearchFloat64s(s.vals, eps))
+	s.vals[rEps] = eps
+	root := s.solve(0, rEps)
 	if math.IsInf(root, 1) {
 		return nil, errors.New("lotsize: infeasible tree plan (internal error)")
 	}
 	constCost := 0.0
 	for v := 0; v < n; v++ {
-		constCost += p.Prob[v] * p.Hold[v] * (p.InitialInventory - cumD[v])
+		constCost += p.Prob[v] * p.Hold[v] * (eps - s.cumD[v])
 	}
 	sol := &TreeSolution{
 		Cost:      root + constCost,
@@ -191,65 +310,25 @@ func SolveTree(p *TreeProblem) (*TreeSolution, error) {
 		Setup:     make([]bool, n),
 		Inventory: make([]float64, n),
 	}
-	// Reconstruct the plan by replaying the memoised decisions.
-	type walk struct {
-		v int
-		y float64
-	}
-	stack := []walk{{0, p.InitialInventory}}
-	for len(stack) > 0 {
-		w := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		d, ok := memo[w.v][w.y]
-		if !ok {
+	for v := 0; v < n; v++ {
+		r := rEps
+		if v > 0 {
+			r = s.out[p.Parent[v]]
+		}
+		st := s.memo[v*s.k+int(r)]
+		if st.next == 0 {
 			return nil, errors.New("lotsize: reconstruction state missing (internal error)")
 		}
-		y := w.y
-		if d.produce {
-			sol.Produce[w.v] = d.target - y
-			sol.Setup[w.v] = true
-			y = d.target
+		if next := st.next - 1; next != r {
+			sol.Produce[v] = s.vals[next] - s.vals[r]
+			sol.Setup[v] = true
+			r = next
 		}
-		sol.Inventory[w.v] = y - cumD[w.v]
-		if sol.Inventory[w.v] < 0 && sol.Inventory[w.v] > -1e-9 {
-			sol.Inventory[w.v] = 0
+		sol.Inventory[v] = s.vals[r] - s.cumD[v]
+		if sol.Inventory[v] < 0 && sol.Inventory[v] > -1e-9 {
+			sol.Inventory[v] = 0
 		}
-		for _, c := range children[w.v] {
-			stack = append(stack, walk{c, y})
-		}
+		s.out[v] = r
 	}
 	return sol, nil
-}
-
-// mergeSortedUnique merges two ascending slices, dropping duplicates (within
-// exact float equality, which holds because all values are shared cumD
-// sums).
-func mergeSortedUnique(a, b []float64) []float64 {
-	out := make([]float64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		var v float64
-		switch {
-		case i >= len(a):
-			v = b[j]
-			j++
-		case j >= len(b):
-			v = a[i]
-			i++
-		case a[i] < b[j]:
-			v = a[i]
-			i++
-		case b[j] < a[i]:
-			v = b[j]
-			j++
-		default:
-			v = a[i]
-			i++
-			j++
-		}
-		if len(out) == 0 || out[len(out)-1] != v { //lint:ignore rentlint/floatcmp dedup of values copied verbatim from the inputs: equal means bit-identical here
-			out = append(out, v)
-		}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package lotsize
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -308,11 +309,29 @@ func BenchmarkTreeDPWide(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	parent, prob := balancedTree([]int{3, 3, 3, 3, 3}) // 364 vertices
 	p := fillTree(rng, parent, prob, 0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SolveTree(p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTreeDPStages times the DP on the branch-3 trees scenario.Build
+// expands for 3, 4 and 5 future stages, with per-stage demand as core
+// fills them: the shape of every uncapacitated rentpland plan.
+func BenchmarkTreeDPStages(b *testing.B) {
+	for _, stages := range []int{3, 4, 5} {
+		p := stageTree(b, stageDemand(rand.New(rand.NewSource(6)), stages), 0.1)
+		b.Run(fmt.Sprintf("n=%d", p.N()), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := SolveTree(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

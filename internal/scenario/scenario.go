@@ -9,6 +9,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"rentplan/internal/stats"
@@ -77,7 +78,10 @@ func (t *Tree) Validate() error {
 	if t.Parent[0] != -1 || t.Stage[0] != 0 {
 		return errors.New("scenario: vertex 0 must be the stage-0 root")
 	}
-	mass := make(map[int]float64)
+	// Stage[v] = Stage[Parent[v]]+1 with Parent[v] < v, so every stage is at
+	// most one past the deepest seen so far and mass grows by appending.
+	var buf [16]float64
+	mass := buf[:0]
 	for v := 0; v < n; v++ {
 		if v > 0 {
 			pa := t.Parent[v]
@@ -93,6 +97,9 @@ func (t *Tree) Validate() error {
 		}
 		if t.Price[v] <= 0 {
 			return fmt.Errorf("scenario: vertex %d price %g", v, t.Price[v])
+		}
+		if t.Stage[v] == len(mass) {
+			mass = append(mass, 0)
 		}
 		mass[t.Stage[v]] += t.Prob[v]
 	}
@@ -195,7 +202,7 @@ func Build(base stats.Discrete, bids []float64, onDemand float64, cfg BuildConfi
 			}
 			kept = kept.Aggregate(keepMax)
 		}
-		var sts []state
+		sts := make([]state, 0, len(kept.Values)+1)
 		for i := range kept.Values {
 			sts = append(sts, state{price: kept.Values[i], prob: kept.Probs[i]})
 		}
@@ -207,28 +214,35 @@ func Build(base stats.Discrete, bids []float64, onDemand float64, cfg BuildConfi
 		}
 		stages[s] = sts
 	}
-	// Expand into the tree, breadth-first.
-	tr := &Tree{
-		Parent:   []int{-1},
-		Prob:     []float64{1},
-		Stage:    []int{0},
-		Price:    []float64{cfg.RootPrice},
-		OutOfBid: []bool{false},
+	// Expand into the tree, breadth-first. Stage s+1 has width(s)·len(stages[s])
+	// vertices, so the tree's size is known before any slice is made.
+	n, width := 1, 1
+	for s, sts := range stages {
+		width *= len(sts)
+		n += width
+		if n > math.MaxInt32 {
+			return nil, fmt.Errorf("scenario: tree exceeds %d vertices by stage %d", math.MaxInt32, s+1)
+		}
 	}
-	frontier := []int{0}
-	for s := 0; s < cfg.Stages; s++ {
-		var next []int
-		for _, v := range frontier {
-			for _, st := range stages[s] {
-				tr.Parent = append(tr.Parent, v)
-				tr.Prob = append(tr.Prob, tr.Prob[v]*st.prob)
-				tr.Stage = append(tr.Stage, s+1)
-				tr.Price = append(tr.Price, st.price)
-				tr.OutOfBid = append(tr.OutOfBid, st.oob)
-				next = append(next, len(tr.Parent)-1)
+	tr := &Tree{
+		Parent:   make([]int, n),
+		Prob:     make([]float64, n),
+		Stage:    make([]int, n),
+		Price:    make([]float64, n),
+		OutOfBid: make([]bool, n),
+	}
+	tr.Parent[0], tr.Prob[0], tr.Price[0] = -1, 1, cfg.RootPrice
+	// The vertices of stage s are [lo, hi); w is the next free index.
+	lo, hi, w := 0, 1, 1
+	for s, sts := range stages {
+		for v := lo; v < hi; v++ {
+			for _, st := range sts {
+				tr.Parent[w], tr.Prob[w], tr.Stage[w] = v, tr.Prob[v]*st.prob, s+1
+				tr.Price[w], tr.OutOfBid[w] = st.price, st.oob
+				w++
 			}
 		}
-		frontier = next
+		lo, hi = hi, w
 	}
 	return tr, nil
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -173,6 +174,45 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 	if err := (&Tree{}).Validate(); err == nil {
 		t.Fatal("want empty error")
+	}
+}
+
+// TestValidateReportsLowestBadStage pins a deterministic report: stage
+// masses used to be summed into a map and the first bad stage returned in
+// map order, so this chain named stage 1, 2 or 3 at random.
+func TestValidateReportsLowestBadStage(t *testing.T) {
+	tr := &Tree{
+		Parent:   []int{-1, 0, 1, 2},
+		Prob:     []float64{1, 0.5, 0.5, 0.5},
+		Stage:    []int{0, 1, 2, 3},
+		Price:    []float64{1, 1, 1, 1},
+		OutOfBid: make([]bool, 4),
+	}
+	for i := 0; i < 100; i++ {
+		if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "stage 1 probability mass") {
+			t.Fatalf("call %d: %v, want the stage 1 mass error", i, err)
+		}
+	}
+}
+
+// TestBuildSizesSlicesOnce checks that Build counts its vertices up front:
+// every slice of the tree is exactly as long as its capacity.
+func TestBuildSizesSlicesOnce(t *testing.T) {
+	tr, err := Build(baseDist(), []float64{0.061, 0.061, 0.061, 0.061}, 0.2, BuildConfig{Stages: 4, MaxBranch: 3, RootPrice: 0.06})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.N() != 121 {
+		t.Fatalf("N = %d, want 121", tr.N())
+	}
+	caps := []int{cap(tr.Parent), cap(tr.Prob), cap(tr.Stage), cap(tr.Price), cap(tr.OutOfBid)}
+	for i, c := range caps {
+		if c != tr.N() {
+			t.Errorf("slice %d has capacity %d for %d vertices", i, c, tr.N())
+		}
 	}
 }
 
