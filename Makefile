@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt vet lint test-analysis race race-fleet check bench bench-sparse bench-dual bench-benders serve-test bench-serve bench-fleet fuzz-lp fuzz-dp
+.PHONY: build test fmt vet lint test-analysis race race-fleet check bench bench-sparse bench-dual bench-benders serve-test bench-serve bench-fleet fuzz-lp fuzz-dp fuzz-fleet
 
 build:
 	$(GO) build ./...
@@ -34,9 +34,9 @@ test-analysis:
 race:
 	$(GO) test -race ./...
 
-# Fleet shard workers build their state concurrently and write disjoint
-# ranges of one shared result; repeat the package under the race detector
-# so a rarely interleaved race, or a handover that hangs, shows up.
+# Fleet shard workers run concurrently, each accumulating into its own
+# range of one shared result; repeat the package under the race detector
+# so a rarely interleaved race, or a worker that hangs, shows up.
 race-fleet:
 	$(GO) test -race -count=10 -timeout 300s ./internal/fleet
 
@@ -82,6 +82,17 @@ fuzz-lp:
 fuzz-dp:
 	$(GO) test -run '^$$' -fuzz '^FuzzTreeDP$$' -fuzztime 20s ./internal/lotsize
 
+# Fuzz the fleet's lite engine against the slot-polling oracle for a fixed
+# budget: on every decoded run (up to 64 ASPs, 200-slot epochs, 3 epochs,
+# bids on and one ULP beside the price levels) Run and RunPolling must both
+# fail whenever validation rejects the config, and must otherwise fail
+# alike or agree exactly on every integer counter and epoch report and to
+# 1e-9 on costs, with shard counts 1 to 4 bit-identical. A failing input is
+# written to internal/fleet/testdata/fuzz and replays in every later go
+# test run.
+fuzz-fleet:
+	$(GO) test -run '^$$' -fuzz '^FuzzFleetMatchesPolling$$' -fuzztime 20s ./internal/fleet
+
 # The rentpland daemon stack under the race detector: handler and
 # reentrancy suites (bit-identical concurrent-vs-serial objectives, zero
 # cross-tenant bleed) plus the loadtest smoke fleet.
@@ -95,9 +106,10 @@ bench-serve:
 	BENCH_SERVE_OUT=$(CURDIR)/BENCH_serve.json $(GO) test -run '^$$' -bench 'BenchmarkServeLoad' -benchtime 1x ./internal/serve/loadtest/
 
 # The fleet simulator benchmark: a 100k-ASP population over 16 week-long
-# market epochs, event-driven sharded core vs the naive slot-polling walk.
-# The benchmark enforces the >= 10x ASP-slots/sec speedup acceptance gate
-# and shard-count {1,4,8} bit-identity itself; p50 epoch latency and
+# market epochs, the sharded lite engine (each ASP's epoch settled in O(1)
+# from per-price-level tables) vs the naive slot-polling walk. The
+# benchmark enforces the >= 10x ASP-slots/sec speedup acceptance gate and
+# shard-count {1,4,8} bit-identity itself; p50 epoch latency and
 # ASP-slots/sec are recorded into BENCH_fleet.json.
 bench-fleet:
 	BENCH_FLEET_OUT=$(CURDIR)/BENCH_fleet.json $(GO) test -run '^$$' -bench 'BenchmarkFleet' -benchtime 1x .

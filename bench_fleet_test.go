@@ -1,12 +1,13 @@
 package rentplan_test
 
 // BenchmarkFleet is the headline run behind `make bench-fleet`: a >= 100k
-// ASP population over multi-week epochs, comparing the event-driven sharded
-// core against the naive per-ASP slot-polling walk it replaces. The
-// benchmark enforces the two fleet acceptance gates itself:
+// ASP population over multi-week epochs, comparing the sharded lite engine
+// (each ASP's epoch settled in O(1) from per-price-level tables) against
+// the naive per-ASP slot-polling walk it replaces. The benchmark enforces
+// the two fleet acceptance gates itself:
 //
-//   - >= 10x ASP-slots/sec for the event-driven core vs the polling
-//     baseline on the same population and market, and
+//   - >= 10x ASP-slots/sec for the lite engine vs the polling baseline on
+//     the same population and market, and
 //   - bit-identical results across shard counts {1, 4, 8}.
 //
 // When BENCH_FLEET_OUT is set the report is written there (the Makefile
@@ -55,8 +56,8 @@ func BenchmarkFleet(b *testing.B) {
 		identityChecked bool
 	)
 	for i := 0; i < b.N; i++ {
-		// Event-driven sharded core, timing each epoch via the OnEpoch
-		// hook (the fleet package itself never reads a clock).
+		// The sharded lite engine, timing each epoch via the OnEpoch hook
+		// (the fleet package itself never reads a clock).
 		cfg := benchFleetConfig(b, 4)
 		epochMS = epochMS[:0]
 		mark := time.Now()
@@ -125,8 +126,8 @@ func BenchmarkFleet(b *testing.B) {
 	b.ReportMetric(p50, "p50-epoch-ms")
 	b.ReportMetric(100*float64(evRes.Wakes)/float64(evRes.SlotsSimulated), "wake-%")
 
-	// Acceptance gate: the event-driven core must beat slot polling by at
-	// least 10x on ASP-slots/sec at this population size.
+	// Acceptance gate: the lite engine must beat slot polling by at least
+	// 10x on ASP-slots/sec at this population size.
 	if speedup < 10 {
 		b.Fatalf("event-driven core only %.1fx faster than slot polling (want >= 10x): %.3g vs %.3g ASP-slots/sec",
 			speedup, evRate, plRate)

@@ -36,7 +36,7 @@ import (
 
 func main() {
 	var (
-		model      = flag.String("model", "drrp", "planning model: drrp, srrp, nested (parallel nested L-shaped LP bound), exec (rolling-horizon execution), or fleet (event-driven sharded fleet simulation)")
+		model      = flag.String("model", "drrp", "planning model: drrp, srrp, nested (parallel nested L-shaped LP bound), exec (rolling-horizon execution), or fleet (sharded fleet simulation, each ASP's epoch settled from per-price-level tables)")
 		class      = flag.String("class", "c1.medium", "VM class (c1.medium, m1.large, m1.xlarge, c1.xlarge)")
 		horizon    = flag.Int("horizon", 24, "DRRP planning horizon in hours")
 		demandMean = flag.Float64("demand-mean", 0.4, "hourly demand mean (GB)")

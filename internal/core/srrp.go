@@ -100,13 +100,11 @@ func SolveSRRPCtx(ctx context.Context, par Params, tree *scenario.Tree, dem []fl
 	return assembleStochasticPlan(par, tree, dem, sol.Produce, sol.Inventory, sol.Setup), nil
 }
 
+// assembleStochasticPlan wraps per-vertex decisions into a plan with its
+// exact expected-cost breakdown. The plan takes ownership of alpha, beta
+// and chi: every caller allocates them for this call alone.
 func assembleStochasticPlan(par Params, tree *scenario.Tree, dem []float64, alpha, beta []float64, chi []bool) *StochasticPlan {
-	p := &StochasticPlan{
-		Tree:  tree,
-		Alpha: append([]float64(nil), alpha...),
-		Beta:  append([]float64(nil), beta...),
-		Chi:   append([]bool(nil), chi...),
-	}
+	p := &StochasticPlan{Tree: tree, Alpha: alpha, Beta: beta, Chi: chi}
 	for v := 0; v < tree.N(); v++ {
 		pv := tree.Prob[v]
 		if p.Chi[v] {

@@ -71,13 +71,10 @@ func SolveSRRPVertexDemandsCtx(ctx context.Context, par Params, tree *scenario.T
 
 // assembleVertexDemandPlan recomputes the exact expected-cost breakdown for a
 // joint-uncertainty plan, where dem is indexed by vertex rather than stage.
+// Like assembleStochasticPlan, the plan takes ownership of alpha, beta and
+// chi.
 func assembleVertexDemandPlan(par Params, tree *scenario.Tree, dem, alpha, beta []float64, chi []bool) *StochasticPlan {
-	p := &StochasticPlan{
-		Tree:  tree,
-		Alpha: append([]float64(nil), alpha...),
-		Beta:  append([]float64(nil), beta...),
-		Chi:   append([]bool(nil), chi...),
-	}
+	p := &StochasticPlan{Tree: tree, Alpha: alpha, Beta: beta, Chi: chi}
 	for v := 0; v < tree.N(); v++ {
 		pv := tree.Prob[v]
 		if p.Chi[v] {

@@ -91,9 +91,9 @@ func sin24(t int) float64 {
 }
 
 // Sin24 exposes the tabulated 24-hour sine used by Diurnal. The fleet
-// simulator's event engine integrates diurnal demand over whole segments via
-// prefix sums of exactly these values, so per-segment accounting agrees with
-// the per-slot Diurnal.At walk it replaces.
+// simulator's lite engine integrates diurnal demand over a whole epoch from
+// the sum of exactly these values, so its accounting agrees with the
+// per-slot Diurnal.At walk it replaces.
 func Sin24(t int) float64 { return sin24(t) }
 
 var sinTable = func() [24]float64 {

@@ -20,12 +20,13 @@ type EquilibriumPoint struct {
 	// and Utilisation its ratio to the provider capacity.
 	SpotSlots   int64
 	Utilisation float64
-	// WakeFraction is wakes / ASP-slots this epoch — the activity rate the
-	// event engine actually pays for.
+	// WakeFraction is wakes / ASP-slots this epoch: how often the fleet
+	// re-plans, at regime crossings and plan expiries.
 	WakeFraction float64
 }
 
-// FleetEquilibriumStudy runs the event-driven fleet against a capacity-
+// FleetEquilibriumStudy runs the fleet's lite engine (each ASP's epoch
+// settled in O(1) from per-price-level tables) against a capacity-
 // constrained spot market and reports the per-epoch approach to the market
 // equilibrium: over-capacity demand pushes the clearing level up, which
 // prices marginal bidders out, which releases demand — the aggregate

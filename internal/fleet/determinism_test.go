@@ -1,12 +1,9 @@
 package fleet
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"math"
-	"math/rand"
-	"slices"
 	"testing"
 
 	"rentplan/internal/market"
@@ -56,77 +53,6 @@ func shardCountBitIdentical(t *testing.T, pop []ASP) {
 		for i := range ref.PerASP {
 			if res.PerASP[i] != ref.PerASP[i] {
 				t.Fatalf("shards=%d ASP %d outcome diverges:\n%+v\n%+v", shards, i, res.PerASP[i], ref.PerASP[i])
-			}
-		}
-	}
-}
-
-// referenceBidOrder is the comparator sort bidOrder replaced: ascending
-// bid, ties in index order.
-func referenceBidOrder(pop []ASP) []int32 {
-	perm := make([]int32, len(pop))
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	slices.SortFunc(perm, func(a, b int32) int {
-		if c := cmp.Compare(pop[a].Bid, pop[b].Bid); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	return perm
-}
-
-// The radix sort must reproduce the comparator's permutation exactly, or
-// shard state would be laid out differently than before.
-func TestBidOrderMatchesComparator(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	bids := func(n int, f func(i int) float64) []ASP {
-		pop := make([]ASP, n)
-		for i := range pop {
-			pop[i].Bid = f(i)
-		}
-		return pop
-	}
-	sampled, err := SamplePopulation(257, market.C1Medium, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := 0.06
-	ulps := bids(1000, func(int) float64 { x = math.Nextafter(x, 1); return x })
-	rng.Shuffle(len(ulps), func(i, j int) { ulps[i], ulps[j] = ulps[j], ulps[i] })
-	cases := []struct {
-		name string
-		pop  []ASP
-	}{
-		{"one ASP", bids(1, func(int) float64 { return 0.05 })},
-		{"two ASPs", bids(2, func(i int) float64 { return 0.07 - 0.04*float64(i) })},
-		{"two tied ASPs", bids(2, func(int) float64 { return 0.05 })},
-		{"257 sampled ASPs", sampled},
-		// Like the benchmark population's pile-up at the clamp ceiling.
-		{"heavy ties", bids(3000, func(int) float64 {
-			if rng.Intn(3) > 0 {
-				return 0.2
-			}
-			return float64(1+rng.Intn(20)) / 100
-		})},
-		{"one ULP apart", ulps},
-		{"many binades", bids(2000, func(i int) float64 {
-			switch i {
-			case 0:
-				return 5e-324
-			case 1:
-				return 1e300
-			}
-			return math.Max(5e-324, math.Pow(10, -323+623*rng.Float64()))
-		})},
-	}
-	for _, tc := range cases {
-		got, want := bidOrder(tc.pop), referenceBidOrder(tc.pop)
-		for k := range want {
-			if got[k] != want[k] {
-				t.Errorf("%s: sorted position %d holds ASP %d, comparator order has %d", tc.name, k, got[k], want[k])
-				break
 			}
 		}
 	}

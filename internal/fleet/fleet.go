@@ -1,21 +1,28 @@
 // Package fleet simulates heterogeneous populations of ASPs planning
 // against one shared spot market. Where the single-agent executors in
-// internal/core walk a price trace slot by slot, the fleet engine is
-// event-driven: an ASP wakes only when a published price change crosses its
-// bid (flipping the in-bid/out-of-bid regime its committed plan assumed) or
-// when the committed plan's horizon expires. Everything between wakes is
-// settled in O(1) per segment from shared prefix sums, so simulating a slot
-// that changes nothing costs nothing.
+// internal/core walk a price trace slot by slot, the fleet's lite engine
+// never walks slots at all. An ASP is served from spot exactly when its bid
+// is at least the price, so within one epoch its spot slots, its compute
+// cost and the slots at which a price change crosses its bid (flipping the
+// in-bid/out-of-bid regime its committed plan assumed, and so waking it to
+// re-plan) depend only on which of the epoch's realised price levels lie at
+// or below its bid. Each epoch a shard tabulates, for every interval
+// between consecutive levels, the in-bid slot count, the in-bid price sum
+// and the lengths of the segments between crossings; every ASP then settles
+// its whole epoch in O(1) from its interval's entry, its wakes included
+// (one at each segment start and one at each plan-horizon expiry inside a
+// segment).
 //
 // Populations are partitioned into contiguous shards that communicate with
 // the market loop through copy-in mailboxes — each epoch a shard receives
-// its own copies of the resampled prices, the change slots, and the prefix
-// sums, and answers with integer aggregates. Each shard builds its state on
-// its own goroutine and finally writes its outcomes into its own range of
-// the result; no other state is shared between shards, every per-ASP
-// accumulator depends only on that ASP's own event sequence, and the final
-// reduction runs serially in ASP index order, so a run with Shards: N is
-// bit-identical to the serial run (the mip/benders workers convention).
+// its own copy of the resampled prices and answers with integer
+// aggregates. A shard reads its own range of Config.Population and
+// accumulates each ASP's outcome straight into its own range of
+// Result.PerASP, in index order; no other state is shared between shards,
+// every per-ASP accumulator depends only on that ASP's attributes and the
+// epoch's prices, and the final reduction runs serially in ASP index
+// order, so a run with Shards: N is bit-identical to the serial run (the
+// mip/benders workers convention).
 //
 // The market loop closes the demand/price feedback the single-agent model
 // cannot express: each epoch the shards' aggregate spot demand (an integer,
@@ -61,9 +68,10 @@ type PlannerKind int
 
 const (
 	// PlannerLite is the closed-form fleet planner: rent spot capacity
-	// while in-bid, fall back to on-demand while out-of-bid, integrate
-	// costs per segment. It is the only planner that reaches million-ASP
-	// populations.
+	// while in-bid, fall back to on-demand while out-of-bid, re-plan at
+	// every regime crossing and plan expiry. Each ASP's epoch settles in
+	// O(1) from per-price-level tables, so it is the only planner that
+	// reaches million-ASP populations.
 	PlannerLite PlannerKind = iota
 	// PlannerSRRP runs the full scenario-tree SRRP executor
 	// (core.RunStochasticEventsCtx) for every ASP. Orders of magnitude
@@ -103,8 +111,6 @@ type Config struct {
 	Telemetry *Telemetry
 	// OnEpoch, when non-nil, observes each epoch's report as it completes
 	// (benchmarks time epochs here; fleet itself never reads a clock).
-	// Shards build their state before their first epoch, so epoch 0's wall
-	// time includes shard set-up.
 	OnEpoch func(EpochReport)
 }
 
@@ -128,7 +134,8 @@ type ASPOutcome struct {
 	DemandGB float64
 	// SpotSlots and OnDemandSlots count rented instance-slots by market.
 	SpotSlots, OnDemandSlots int64
-	// Wakes counts event wake-ups; Solves counts plan solves.
+	// Wakes counts re-planning wake-ups (slot 0 of each epoch, regime
+	// crossings and plan expiries); Solves counts plan solves.
 	Wakes, Solves int64
 }
 
@@ -216,9 +223,10 @@ const epochSeedStride = 1000003
 func Run(cfg *Config) (*Result, error) { return RunCtx(context.Background(), cfg) }
 
 // RunCtx simulates the fleet under a caller context. Each shard runs on one
-// worker goroutine, which builds the shard's bid-sorted state, simulates the
-// epochs the market loop sends it, and at the end writes the shard's
-// outcomes into its own range of Result.PerASP.
+// worker goroutine, which simulates the epochs the market loop sends it by
+// one pass over its contiguous range of Config.Population, accumulating
+// into the same range of Result.PerASP. The population is read throughout
+// the run, so it must not change until RunCtx returns.
 //
 // Cancellation aborts mid-epoch: every shard worker exits, no goroutine
 // leaks, and ctx's error is returned. An ASP that cannot be planned — the
@@ -260,6 +268,10 @@ func RunCtx(ctx context.Context, cfg *Config) (*Result, error) {
 	if shared.maxBranch <= 0 {
 		shared.maxBranch = 3
 	}
+	H := cfg.EpochHours
+	for t := 0; t < H; t++ {
+		shared.sinTotal += demand.Sin24(t)
+	}
 
 	res := &Result{
 		PerASP:         make([]ASPOutcome, n),
@@ -292,12 +304,6 @@ func RunCtx(ctx context.Context, cfg *Config) (*Result, error) {
 		wg.Wait()
 	}
 
-	H := cfg.EpochHours
-	sinSum := make([]float64, H+1)
-	for t := 0; t < H; t++ {
-		sinSum[t+1] = sinSum[t] + demand.Sin24(t)
-	}
-
 	base := gc.BaseSpot
 	reports := make([]EpochReport, 0, cfg.Epochs)
 	for e := 0; e < cfg.Epochs; e++ {
@@ -311,27 +317,23 @@ func RunCtx(ctx context.Context, cfg *Config) (*Result, error) {
 			return nil, err
 		}
 		g.Cfg.BaseSpot = base
-		tr := g.Trace((H + 23) / 24)
-		prices, changes, err := tr.HourlyChanges(0, H)
+		prices, err := g.Trace((H+23)/24).Hourly(0, H)
 		if err != nil {
 			shutdown()
 			return nil, err
 		}
-		priceSum := make([]float64, H+1)
-		for t := 0; t < H; t++ {
-			priceSum[t+1] = priceSum[t] + prices[t]
+		meanPrice := 0.0
+		for _, p := range prices {
+			meanPrice += p
 		}
-		meanPrice := priceSum[H] / float64(H)
+		meanPrice /= float64(H)
 
-		// Copy-in mailboxes: every shard owns private copies of the epoch
-		// feed, so workers never alias market-loop memory.
+		// Copy-in mailboxes: every shard owns a private copy of the epoch's
+		// prices, so workers never alias market-loop memory.
 		for _, w := range workers {
 			job := epochWork{
 				epoch:     e,
 				prices:    append([]float64(nil), prices...),
-				changes:   append([]int(nil), changes...),
-				priceSum:  append([]float64(nil), priceSum...),
-				sinSum:    append([]float64(nil), sinSum...),
 				meanPrice: meanPrice,
 			}
 			select {
@@ -383,8 +385,8 @@ func RunCtx(ctx context.Context, cfg *Config) (*Result, error) {
 	}
 	shutdown()
 	if ctx.Err() != nil {
-		// A worker that saw the cancellation before its work channel closed
-		// returned without handing its outcomes over.
+		// Cancelled after the last epoch: still a cancelled run, whatever
+		// the workers finished.
 		return nil, ctx.Err()
 	}
 	res.Epochs, res.FinalBaseSpot = reports, base

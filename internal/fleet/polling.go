@@ -9,15 +9,15 @@ import (
 )
 
 // RunPolling simulates the fleet with the naive per-ASP slot-polling walk
-// the event engine replaces: every ASP visits every slot of every epoch,
-// evaluating its demand process through the demand.Process interface and
-// re-checking its regime, exactly as the per-agent rolling executors do.
-// It exists as the benchmark baseline and as the independent oracle the
-// agreement tests compare the event engine against: wake slots, solve
-// counts and integer slot aggregates match the event engine exactly, and
-// float costs agree to rounding (the two engines sum in different orders).
-// An ASP whose instance count the event engine rejects fails the walk with
-// the same error.
+// the lite engine's per-level tables replace: every ASP visits every slot
+// of every epoch, evaluating its demand process through the demand.Process
+// interface and re-checking its regime, exactly as the per-agent rolling
+// executors do. It exists as the benchmark baseline and as the independent
+// oracle the agreement tests compare the lite engine against: wake and
+// solve counts and integer slot aggregates match the lite engine exactly,
+// and float costs agree to rounding (the two engines sum in different
+// orders). An ASP whose instance count the lite engine rejects fails the
+// walk with the same error.
 func RunPolling(cfg *Config) (*Result, error) {
 	return RunPollingCtx(context.Background(), cfg)
 }

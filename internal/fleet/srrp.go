@@ -10,11 +10,12 @@ import (
 )
 
 // runEpochSRRP simulates one epoch with the full scenario-tree planner:
-// every ASP executes core.RunStochasticEventsCtx — the event-driven SRRP
-// executor — against the epoch's price series, with the epoch's own price
-// histogram as the tree base distribution. The per-ASP runs are independent
-// and each ASP's arithmetic depends only on its own attributes, so outcomes
-// are identical under any shard count, exactly as in the lite engine.
+// every ASP, in index order, executes core.RunStochasticEventsCtx — the
+// event-driven SRRP executor — against the epoch's price series, with the
+// epoch's own price histogram as the tree base distribution. The per-ASP
+// runs are independent and each ASP's arithmetic depends only on its own
+// attributes, so outcomes are identical under any shard count, exactly as
+// in the lite engine. The pass stops at the first ASP the planner fails.
 func (w *shardWorker) runEpochSRRP(ctx context.Context, job epochWork) epochAck {
 	var a epochAck
 	H := len(job.prices)
@@ -22,16 +23,16 @@ func (w *shardWorker) runEpochSRRP(ctx context.Context, job epochWork) epochAck 
 	baseDist := stats.NewDiscreteFromSamples(job.prices, 1e-3)
 	logRatio := math.Log(w.shared.p0 / job.meanPrice)
 	bids := make([]float64, H)
-	for k := range w.st {
+	for i := range w.pop {
 		if ctx.Err() != nil {
 			return a
 		}
-		s := &w.st[k]
-		s.mult = epochMult(s.elast, logRatio)
-		proc := demand.Diurnal{Base: s.mult * s.baseDemand, Amp: s.amp}
+		asp := &w.pop[i]
+		mult := epochMult(asp.Elasticity, logRatio)
+		proc := demand.Diurnal{Base: mult * asp.BaseDemand, Amp: asp.DiurnalAmp}
 		dem := demand.Series(proc, H)
 		for t := range bids {
-			bids[t] = s.bid
+			bids[t] = asp.Bid
 		}
 		cfg := &core.ExecConfig{
 			Par:        par,
@@ -44,20 +45,21 @@ func (w *shardWorker) runEpochSRRP(ctx context.Context, job epochWork) epochAck 
 		out, err := core.RunStochasticEventsCtx(ctx, cfg, bids)
 		if err != nil {
 			// A cancelled run returns ctx's error whatever the ack holds.
-			a.fail(job.epoch, w.lo+int(w.perm[k]), err)
-			continue
+			a.err = aspError(job.epoch, w.lo+i, err)
+			return a
 		}
 		gb := 0.0
 		for _, d := range dem {
 			gb += d
 		}
-		s.cost += out.Cost + gb*w.shared.svcPerGB
-		s.gb += gb
+		o := &w.out[i]
+		o.Cost += out.Cost + gb*w.shared.svcPerGB
+		o.DemandGB += gb
 		spot := int64(out.RentSlots - out.OutOfBidSlots)
-		s.spot += spot
-		s.ondem += int64(out.OutOfBidSlots)
-		s.wake += int64(out.Replans)
-		s.solve += int64(out.Replans)
+		o.SpotSlots += spot
+		o.OnDemandSlots += int64(out.OutOfBidSlots)
+		o.Wakes += int64(out.Replans)
+		o.Solves += int64(out.Replans)
 		a.spotSlots += spot
 		a.wakes += int64(out.Replans)
 		a.solves += int64(out.Replans)

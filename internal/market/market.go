@@ -92,10 +92,11 @@ func (tr *SpotTrace) Hourly(start float64, n int) ([]float64, error) {
 }
 
 // HourlyChanges resamples the trace like Hourly and additionally returns the
-// ascending slot indices at which the hourly price actually moved. This is
-// the price-trigger feed consumed by the event-driven fleet simulator: an
-// agent whose bid is not crossed by any of these changes never needs to look
-// at the trace slot by slot.
+// ascending slot indices at which the hourly price actually moved: the
+// price-trigger feed of an agent that re-plans only when the price crosses
+// its bid. An agent whose bid no change crosses never needs to look at the
+// trace slot by slot. perfbench's fleet trace times it as the epoch's
+// market feed.
 func (tr *SpotTrace) HourlyChanges(start float64, n int) ([]float64, []int, error) {
 	return tr.Events.ResampleChanges(start, n)
 }

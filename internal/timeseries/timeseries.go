@@ -92,10 +92,9 @@ func (es *EventSeries) Resample(start float64, n int) ([]float64, error) {
 
 // ResampleChanges resamples like Resample and additionally returns the
 // ascending slot indices t (1 ≤ t < n) at which the resampled value differs
-// from the previous slot's. This is the change feed the event-driven fleet
-// simulator consumes: a planning agent only needs to look at the slots where
-// the hourly price actually moved, of which there are at most
-// min(n−1, len(Events)).
+// from the previous slot's, of which there are at most min(n−1,
+// len(Events)). A price-triggered agent only needs to look at these slots
+// (see market.SpotTrace.HourlyChanges).
 func (es *EventSeries) ResampleChanges(start float64, n int) ([]float64, []int, error) {
 	out, err := es.Resample(start, n)
 	if err != nil {
