@@ -576,49 +576,6 @@ func BenchmarkTreeDPLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLShaped compares the L-shaped (Benders) decomposition of
-// the two-stage SRRP LP relaxation against solving the stacked extensive
-// form directly — the decomposition trade-off the paper cites (Birge [28]).
-func BenchmarkAblationLShaped(b *testing.B) {
-	base := stats.Discrete{
-		Values: []float64{0.056, 0.058, 0.060, 0.062, 0.064},
-		Probs:  []float64{0.1, 0.2, 0.4, 0.2, 0.1},
-	}
-	tree, err := scenario.Build(base, []float64{0.062}, 0.2, scenario.BuildConfig{
-		Stages: 1, RootPrice: 0.06,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	par := core.DefaultParams(market.C1Medium)
-	dem := []float64{0.4, 0.5}
-	prob, err := core.BuildSRRPTwoStage(par, tree, dem)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("l-shaped", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := benders.Solve(prob, benders.Options{MultiCut: true})
-			if err != nil || !res.Converged {
-				b.Fatalf("%v %v", res, err)
-			}
-		}
-	})
-	b.Run("extensive", func(b *testing.B) {
-		ext, err := benders.ExtensiveForm(prob)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sol, err := lp.Solve(ext)
-			if err != nil || sol.Status != lp.StatusOptimal {
-				b.Fatalf("%v %v", sol, err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblationNestedLShaped runs the multistage nested L-shaped method
 // on the paper-scale 5-stage tree LP relaxation, against the exact integer
 // tree DP for context.

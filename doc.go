@@ -13,9 +13,8 @@
 //   - internal/lp, internal/mip — a bounded-variable two-phase primal
 //     simplex (with duals and Farkas certificates) and a branch-and-bound
 //     MILP solver.
-//   - internal/benders — the L-shaped method for two-stage stochastic LPs
-//     and its nested multistage variant (Birge), the decomposition the
-//     paper cites for SRRP.
+//   - internal/benders — the nested multistage L-shaped method (Birge),
+//     the decomposition the paper cites for SRRP.
 //   - internal/lotsize — exact polynomial dynamic programs: Wagner–Whitin,
 //     the Florian–Klein equal-capacity DP, and a Guan–Miller-style
 //     scenario-tree DP.

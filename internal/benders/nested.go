@@ -1,3 +1,21 @@
+// Package benders implements the nested L-shaped method, Birge's
+// multistage Benders decomposition and the technique the paper cites for
+// SRRP's multistage recourse program (reference [28]). It solves the LP
+// relaxation (χ ∈ [0, 1]) of stochastic lot-sizing on a scenario tree by
+// vertex: each vertex keeps a small local LP over its production α,
+// outgoing inventory β, setup χ and, on non-leaves, a cost-to-go θ bounded
+// below by optimality cuts in β. Forward passes push trial inventories
+// root-down; backward passes return one aggregated cut per non-leaf vertex
+// from its children's LP duals, until the root's bound meets the expected
+// cost of the implementable forward policy.
+//
+// Vertex LPs are in conditional units. A vertex's costs are its own, not
+// weighted by the probability of reaching it, and its θ approximates the
+// expected cost-to-go given that the vertex is reached, so a parent
+// weights each child's value and dual by p_c/p_v when it aggregates a cut.
+// Every vertex LP therefore keeps the scale of the cost data however deep
+// or improbable the vertex is, and θ's small negative floor
+// (num.ThetaFloorTol) stays negligible next to its objective.
 package benders
 
 import (
@@ -12,47 +30,42 @@ import (
 	"rentplan/internal/num"
 )
 
-// defaultWarehouseCap is the per-vertex cut-store bound selected when
-// NestedOptions.WarehouseCap is unset. It comfortably exceeds the sweep
-// count of every converging instance seen in tests, so eviction only kicks
-// in on pathologically slow runs where bounding the vertex LP size matters.
+// maxSweeps bounds the forward/backward sweeps of one solve. A run that
+// has not closed the gap to num.DecompGapTol by then returns its last
+// bound with Converged false.
+const maxSweeps = 200
+
+// defaultWarehouseCap is the per-vertex cut-store bound. It comfortably
+// exceeds the sweep count of every converging instance seen in tests, so
+// eviction only kicks in on pathologically slow runs where bounding the
+// vertex LP size matters.
 const defaultWarehouseCap = 128
 
 // NestedOptions tunes the multistage nested L-shaped solver.
 type NestedOptions struct {
-	// MaxIter bounds forward/backward sweeps; ≤0 selects 200.
-	MaxIter int
-	// Tol is the relative gap closing the root bound; ≤0 selects
-	// num.DecompGapTol.
-	Tol float64
 	// Workers bounds the goroutines solving vertex LPs within one stage of
 	// a forward or backward pass; ≤0 selects runtime.GOMAXPROCS(0), and 1
 	// runs the passes inline with no goroutines. The result is
 	// bit-identical for every worker count: stages are separated by
 	// barriers and all cross-vertex state is combined in vertex order.
 	Workers int
-	// WarehouseCap bounds the cuts stored per vertex before LRU aging
-	// evicts the least-recently-used one; ≤0 selects defaultWarehouseCap.
-	WarehouseCap int
 	// NoWarmStart disables the vertex basis reuse and the backward-pass
 	// solution memo, re-solving every vertex LP cold — the behaviour of the
 	// serial solver before the warehouse landed. Benchmarks use it as the
 	// A/B baseline; the default (false) is strictly faster.
 	NoWarmStart bool
+
+	// warehouseCap, when positive, replaces defaultWarehouseCap; tests set
+	// it small to force LRU eviction inside the solver.
+	warehouseCap int
 }
 
 func (o NestedOptions) withDefaults() NestedOptions {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 200
-	}
-	if o.Tol <= 0 {
-		o.Tol = num.DecompGapTol
-	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.WarehouseCap <= 0 {
-		o.WarehouseCap = defaultWarehouseCap
+	if o.warehouseCap <= 0 {
+		o.warehouseCap = defaultWarehouseCap
 	}
 	return o
 }
@@ -61,7 +74,8 @@ func (o NestedOptions) withDefaults() NestedOptions {
 type NestedResult struct {
 	// Bound is the proven lower bound (root master objective); Cost is the
 	// expected cost of the implementable policy from the last forward pass
-	// (an upper bound). At convergence they agree to within Tol.
+	// (an upper bound). At convergence they agree to within
+	// num.DecompGapTol, relative.
 	Bound, Cost float64
 	// RootAlpha, RootBeta, RootChi are the first-stage decisions.
 	RootAlpha, RootBeta, RootChi float64
@@ -89,20 +103,16 @@ var (
 )
 
 // SolveTreeLP solves the LP relaxation (χ ∈ [0,1]) of a stochastic
-// lot-sizing scenario tree by the nested L-shaped method of Birge — the
-// multistage decomposition the paper cites for SRRP ([28]). Each vertex
-// keeps a small local LP over (α, β, χ, θ) where θ under-approximates the
-// children's expected cost-to-go as a function of the outgoing inventory β;
-// forward passes propagate trial inventories, backward passes return
-// supporting cuts from the children's LP duals.
+// lot-sizing scenario tree by the nested L-shaped method, in at most 200
+// sweeps.
 //
 // Within each stage the vertex LPs are independent given the parent
 // inventories, so both passes batch a stage's vertices across
-// Options.Workers goroutines with a barrier between stages. Every vertex
-// carries a cut warehouse (deduplicated, LRU-aged) and, unless NoWarmStart
-// is set, a stored simplex basis: between visits only the balance RHS and
-// the appended cut rows change, so re-solves warm-start through
-// lp.SolveFromCtx with the basis extended over the new cut slacks.
+// NestedOptions.Workers goroutines with a barrier between stages. Every
+// vertex carries a cut warehouse (deduplicated, LRU-aged) and, unless
+// NoWarmStart is set, a stored simplex basis: between visits only the
+// balance RHS and the appended cut rows change, so re-solves warm-start
+// through lp.SolveFromCtx with the basis extended over the new cut slacks.
 //
 // The result's Bound equals the LP relaxation optimum of the deterministic
 // equivalent at convergence (verified against the extensive form in tests)
@@ -125,7 +135,7 @@ func SolveTreeLPCtx(ctx context.Context, tp *lotsize.TreeProblem, opts NestedOpt
 	opts = opts.withDefaults()
 	s := newNestedSolver(tp, opts)
 	res := s.res
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < maxSweeps; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("benders: canceled after %d sweeps: %w", res.Iterations, err)
 		}
@@ -134,14 +144,15 @@ func SolveTreeLPCtx(ctx context.Context, tp *lotsize.TreeProblem, opts NestedOpt
 		if err != nil {
 			return nil, err
 		}
-		res.Bound = rootObj
+		// The root LP is conditional on reaching the root.
+		res.Bound = tp.Prob[0] * rootObj
 		// Exact cost of the implementable forward policy (upper bound).
 		total := 0.0
 		for v := range s.localC {
 			total += s.localC[v]
 		}
 		res.Cost = total
-		if total-rootObj <= opts.Tol*(1+math.Abs(total)) {
+		if total-res.Bound <= num.DecompGapTol*(1+math.Abs(total)) {
 			res.Converged = true
 			s.collectStats()
 			return res, nil
@@ -197,8 +208,8 @@ type nestedSolver struct {
 	maxRemain       []float64
 	st              []vertexState
 
-	inB, outB, localC []float64
-	errs              []error
+	outB, localC []float64
+	errs         []error
 }
 
 func newNestedSolver(tp *lotsize.TreeProblem, opts NestedOptions) *nestedSolver {
@@ -210,7 +221,6 @@ func newNestedSolver(tp *lotsize.TreeProblem, opts NestedOptions) *nestedSolver 
 		children:  make([][]int, n),
 		maxRemain: make([]float64, n),
 		st:        make([]vertexState, n),
-		inB:       make([]float64, n),
 		outB:      make([]float64, n),
 		localC:    make([]float64, n),
 		errs:      make([]error, n),
@@ -231,7 +241,7 @@ func newNestedSolver(tp *lotsize.TreeProblem, opts NestedOptions) *nestedSolver 
 		if len(s.children[v]) > 0 {
 			s.parents[depth[v]] = append(s.parents[depth[v]], v)
 		}
-		s.st[v].wh.cap = opts.WarehouseCap
+		s.st[v].wh.cap = opts.warehouseCap
 	}
 	// Remaining path demand bounds α and β (cf. the tightened MILP).
 	for v := n - 1; v >= 0; v-- {
@@ -263,14 +273,13 @@ func (s *nestedSolver) forward(ctx context.Context) (float64, error) {
 			if v != 0 {
 				b = s.outB[s.tp.Parent[v]]
 			}
-			s.inB[v] = b
 			alpha, beta, chi, theta, obj, _, err := s.solveVertex(ctx, v, b)
 			if err != nil {
 				s.errs[v] = err
 				return
 			}
 			s.outB[v] = beta
-			s.localC[v] = obj - theta
+			s.localC[v] = s.tp.Prob[v] * (obj - theta)
 			if v == 0 {
 				// Depth 0 holds only the root, so parallelFor runs this
 				// batch inline and the writes need no synchronisation.
@@ -316,8 +325,11 @@ func (s *nestedSolver) backward(ctx context.Context) error {
 					s.errs[v] = err
 					return
 				}
-				value += objC
-				slope += -lamC
+				// Child values are conditional on reaching c; given v,
+				// c is reached with probability p_c/p_v.
+				w := s.tp.Prob[c] / s.tp.Prob[v]
+				value += w * objC
+				slope += -w * lamC
 			}
 			st := &s.st[v]
 			// θ ≥ slope·β + (value − slope·b).
@@ -362,10 +374,9 @@ func (s *nestedSolver) solveVertex(ctx context.Context, v int, b float64) (alpha
 		Upper: make([]float64, nv),
 		SA:    make([]lp.SparseRow, 0, 3+ncuts),
 	}
-	pv := s.tp.Prob[v]
-	prob.C[0] = pv * s.tp.Unit[v]
-	prob.C[1] = pv * s.tp.Hold[v]
-	prob.C[2] = pv * s.tp.Setup[v]
+	prob.C[0] = s.tp.Unit[v]
+	prob.C[1] = s.tp.Hold[v]
+	prob.C[2] = s.tp.Setup[v]
 	prob.Upper[0] = s.maxRemain[v] + 1
 	prob.Upper[1] = math.Inf(1) // large ε can push β past the demand bound
 	prob.Upper[2] = 1

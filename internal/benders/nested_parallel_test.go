@@ -53,7 +53,7 @@ func TestNestedParallelMatchesExtensive(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 6; trial++ {
 		tp := randomTreeProblem(rng, []int{3, 2, 2}, 0)
-		res, err := SolveTreeLP(tp, NestedOptions{Workers: 4, WarehouseCap: 3})
+		res, err := SolveTreeLP(tp, NestedOptions{Workers: 4, warehouseCap: 3})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

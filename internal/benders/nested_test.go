@@ -104,8 +104,10 @@ func randomTreeProblem(rng *rand.Rand, shape []int, eps float64) *lotsize.TreePr
 
 func TestNestedLShapedMatchesExtensiveLP(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	shapes := [][]int{{2}, {3, 2}, {2, 2, 2}, {4, 2}, {2, 3, 2}}
-	for trial := 0; trial < 15; trial++ {
+	// The one-stage shapes are two-stage recourse problems, the case of the
+	// classic (non-nested) L-shaped method.
+	shapes := [][]int{{2}, {3, 2}, {2, 2, 2}, {4, 2}, {2, 3, 2}, {3}, {4}}
+	for trial := 0; trial < 3*len(shapes); trial++ {
 		shape := shapes[trial%len(shapes)]
 		eps := 0.0
 		if trial%3 == 1 {
@@ -127,6 +129,44 @@ func TestNestedLShapedMatchesExtensiveLP(t *testing.T) {
 		}
 		if math.Abs(res.Bound-esol.Obj) > 1e-5*(1+math.Abs(esol.Obj)) {
 			t.Fatalf("trial %d (shape %v): nested %v != extensive %v", trial, shape, res.Bound, esol.Obj)
+		}
+	}
+}
+
+// TestNestedSkewedDeepTreeMatchesExtensiveLP solves ternary trees four to
+// six stages deep whose branches split their parent's probability
+// unevenly, so the least likely vertices are reached with probability down
+// to 1e-24. Each tree must converge to the extensive LP's optimum.
+func TestNestedSkewedDeepTreeMatchesExtensiveLP(t *testing.T) {
+	splits := [][3]float64{{0.98, 0.01, 0.01}, {0.999, 0.0009, 0.0001}, {0.9, 0.09, 0.01}}
+	trials := 12
+	if raceEnabled || testing.Short() {
+		trials = 3
+	}
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < trials; trial++ {
+		depth := 4 + trial%3
+		split := splits[(trial/3)%3]
+		tp := randomTreeProblem(rng, []int{3, 3, 3, 3, 3, 3}[:depth], 0.2*float64(trial%2))
+		// Level-order numbering makes (v−1) mod 3 vertex v's child index.
+		for v := 1; v < tp.N(); v++ {
+			tp.Prob[v] = tp.Prob[tp.Parent[v]] * split[(v-1)%3]
+		}
+		res, err := SolveTreeLP(tp, NestedOptions{})
+		if err != nil {
+			t.Fatalf("trial %d (depth %d, split %v): %v", trial, depth, split, err)
+		}
+		if !res.Converged {
+			t.Fatalf("trial %d (depth %d, split %v): no convergence after %d sweeps (bound %v, cost %v)",
+				trial, depth, split, res.Iterations, res.Bound, res.Cost)
+		}
+		esol, err := lp.Solve(treeLPRelaxation(tp))
+		if err != nil || esol.Status != lp.StatusOptimal {
+			t.Fatalf("trial %d: extensive: %v %v", trial, esol, err)
+		}
+		if math.Abs(res.Bound-esol.Obj) > 1e-5*(1+math.Abs(esol.Obj)) {
+			t.Fatalf("trial %d (depth %d, split %v): nested %v != extensive %v",
+				trial, depth, split, res.Bound, esol.Obj)
 		}
 	}
 }

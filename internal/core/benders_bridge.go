@@ -3,110 +3,11 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"rentplan/internal/benders"
 	"rentplan/internal/lotsize"
-	"rentplan/internal/lp"
 	"rentplan/internal/scenario"
 )
-
-// BuildSRRPTwoStage converts the LP relaxation of a two-stage SRRP (a
-// scenario tree with exactly one future stage) into a benders.Problem, so
-// the L-shaped method — the decomposition technique the paper cites for
-// multistage recourse programs — can solve it scenario by scenario.
-//
-// First-stage variables: x = (α₀, β₀, χ₀) with χ₀ relaxed to [0,1].
-// Per-scenario second stage: y = (α_v, β_v, χ_v) with rows
-//
-//	β₀ + α_v − β_v = D₁       (balance, couples the first stage)
-//	α_v − B·χ_v ≤ 0           (forcing)
-//	χ_v ≤ 1                   (relaxed integrality)
-//
-// The relaxation's optimum is a valid lower bound on the SRRP optimum and
-// is tight whenever the LP relaxation is integral.
-func BuildSRRPTwoStage(par Params, tree *scenario.Tree, dem []float64) (*benders.Problem, error) {
-	if err := par.validate(); err != nil {
-		return nil, err
-	}
-	if err := tree.Validate(); err != nil {
-		return nil, err
-	}
-	if tree.Stages() != 2 {
-		return nil, fmt.Errorf("core: two-stage builder needs a 2-stage tree, got %d stages", tree.Stages())
-	}
-	if len(dem) != 2 {
-		return nil, errors.New("core: need exactly two stage demands")
-	}
-	if par.Capacitated() {
-		return nil, errors.New("core: capacitated two-stage decomposition not supported")
-	}
-	bigB := par.Epsilon + dem[0] + dem[1]
-	if bigB <= 0 {
-		bigB = 1
-	}
-	unit := par.UnitGenCost()
-	hold := par.HoldingCost()
-
-	p := &benders.Problem{
-		// x = (α₀, β₀, χ₀).
-		C:     []float64{unit, hold, tree.Price[0]},
-		Lower: []float64{0, 0, 0},
-		Upper: []float64{bigB, bigB, 1},
-		// Balance at the root: α₀ − β₀ = D₀ − ε.
-		A:   [][]float64{{1, -1, 0}, {1, 0, -bigB}},
-		Rel: []lp.Rel{lp.EQ, lp.LE},
-		B:   []float64{dem[0] - par.Epsilon, 0},
-	}
-	for v := 1; v < tree.N(); v++ {
-		if tree.Stage[v] != 1 {
-			continue
-		}
-		sc := benders.Scenario{
-			Prob: tree.Prob[v],
-			// y = (α_v, β_v, χ_v).
-			Q: []float64{unit, hold, tree.Price[v]},
-			W: [][]float64{
-				{1, -1, 0},    // + β₀ (via T) = D₁
-				{1, 0, -bigB}, // forcing
-				{-1, 0, 0},    // −α_v ≥ −B  (keeps recourse bounded)
-				{0, -1, 0},    // −β_v ≥ −B
-				{0, 0, -1},    // −χ_v ≥ −1  (χ ≤ 1)
-			},
-			Rel: []lp.Rel{lp.EQ, lp.LE, lp.GE, lp.GE, lp.GE},
-			H:   []float64{dem[1], 0, -bigB, -bigB, -1},
-			T: [][]float64{
-				{0, 1, 0}, // β₀ carries into the balance: β₀ + α_v − β_v = D₁
-				{0, 0, 0},
-				{0, 0, 0},
-				{0, 0, 0},
-				{0, 0, 0},
-			},
-		}
-		p.Scenarios = append(p.Scenarios, sc)
-	}
-	if len(p.Scenarios) == 0 {
-		return nil, errors.New("core: tree has no stage-1 vertices")
-	}
-	return p, nil
-}
-
-// SolveSRRPTwoStageLShaped solves the two-stage LP relaxation by the
-// L-shaped method and returns the lower bound plus decomposition stats.
-func SolveSRRPTwoStageLShaped(par Params, tree *scenario.Tree, dem []float64, opts benders.Options) (*benders.Result, error) {
-	return SolveSRRPTwoStageLShapedCtx(context.Background(), par, tree, dem, opts)
-}
-
-// SolveSRRPTwoStageLShapedCtx is SolveSRRPTwoStageLShaped under a context,
-// threading ctx through every master and subproblem LP. A background context
-// is bit-identical to SolveSRRPTwoStageLShaped.
-func SolveSRRPTwoStageLShapedCtx(ctx context.Context, par Params, tree *scenario.Tree, dem []float64, opts benders.Options) (*benders.Result, error) {
-	p, err := BuildSRRPTwoStage(par, tree, dem)
-	if err != nil {
-		return nil, err
-	}
-	return benders.SolveCtx(ctx, p, opts)
-}
 
 // SolveSRRPNestedLShaped solves the multistage LP relaxation of an SRRP
 // scenario tree by the nested L-shaped method (Birge's algorithm, the

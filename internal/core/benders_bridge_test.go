@@ -10,121 +10,141 @@ import (
 	"rentplan/internal/scenario"
 )
 
-func twoStageTree(t *testing.T, bid float64) *scenario.Tree {
-	t.Helper()
-	tr, err := scenario.Build(baseDist(), []float64{bid}, 0.2, scenario.BuildConfig{
-		Stages:    1,
-		RootPrice: 0.06,
-	})
-	if err != nil {
-		t.Fatal(err)
+// srrpExtensiveLP builds the extensive-form LP relaxation (χ ∈ [0,1]) of an
+// uncapacitated SRRP tree with the tight forcing bounds the nested solver
+// uses, without the transfer-out constant. Variables are α_v, β_v, χ_v.
+func srrpExtensiveLP(par Params, tree *scenario.Tree, dem []float64) *lp.Problem {
+	n := tree.N()
+	remain := make([]float64, len(dem)+1) // demand from a stage to the end
+	for k := len(dem) - 1; k >= 0; k-- {
+		remain[k] = dem[k] + remain[k+1]
 	}
-	return tr
+	alpha := func(v int) int { return v }
+	beta := func(v int) int { return n + v }
+	chi := func(v int) int { return 2*n + v }
+	p := newLP(3 * n)
+	for v := 0; v < n; v++ {
+		p.C[alpha(v)] = tree.Prob[v] * par.UnitGenCost()
+		p.C[beta(v)] = tree.Prob[v] * par.HoldingCost()
+		p.C[chi(v)] = tree.Prob[v] * tree.Price[v]
+		p.Upper[chi(v)] = 1
+		d := dem[tree.Stage[v]]
+		if v == 0 {
+			addRowNZ(p, eqRel, d-par.Epsilon, nz{alpha(v), 1}, nz{beta(v), -1})
+		} else {
+			addRowNZ(p, eqRel, d, nz{alpha(v), 1}, nz{beta(v), -1}, nz{beta(tree.Parent[v]), 1})
+		}
+		addRowNZ(p, leRel, 0, nz{alpha(v), 1}, nz{chi(v), -remain[tree.Stage[v]]})
+		addRowNZ(p, leRel, 0, nz{alpha(v), 1}, nz{beta(v), -1}, nz{chi(v), -d})
+	}
+	return p
 }
 
+// TestLShapedMatchesExtensiveFormAndBoundsMILP solves a two-stage SRRP tree
+// (the recourse problem of the classic L-shaped method) by the nested
+// method: its bound equals the extensive-form LP and, with the transfer-out
+// constant, stays below the exact (integer) SRRP optimum.
 func TestLShapedMatchesExtensiveFormAndBoundsMILP(t *testing.T) {
 	par := DefaultParams(market.C1Medium)
 	par.Epsilon = 0.1
-	tree := twoStageTree(t, 0.060)
+	tree := srrpTree(t, 1, 0.060)
 	dem := []float64{0.4, 0.5}
-
-	p, err := BuildSRRPTwoStage(par, tree, dem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// L-shaped vs the stacked extensive form LP.
-	res, err := benders.Solve(p, benders.Options{})
+	res, bound, err := SolveSRRPNestedLShaped(par, tree, dem, benders.NestedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Converged {
 		t.Fatalf("no convergence after %d iterations", res.Iterations)
 	}
-	ext, err := benders.ExtensiveForm(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	esol, err := lp.Solve(ext)
+	esol, err := lp.Solve(srrpExtensiveLP(par, tree, dem))
 	if err != nil || esol.Status != lp.StatusOptimal {
 		t.Fatalf("extensive form: %v %v", esol, err)
 	}
-	if math.Abs(res.Obj-esol.Obj) > 1e-6 {
-		t.Fatalf("L-shaped %v != extensive %v", res.Obj, esol.Obj)
+	if math.Abs(res.Bound-esol.Obj) > 1e-6 {
+		t.Fatalf("nested %v != extensive %v", res.Bound, esol.Obj)
 	}
-	// The relaxation bounds the exact (integer) SRRP optimum from below,
-	// up to the transfer-out constant the LP omits.
 	exact, err := SolveSRRP(par, tree, dem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	transferOut := par.Pricing.TransferOutPerGB * (dem[0] + dem[1])
-	if res.Obj > exact.ExpCost-transferOut+1e-9 {
-		t.Fatalf("LP relaxation %v exceeds exact variable cost %v",
-			res.Obj, exact.ExpCost-transferOut)
+	if bound > exact.ExpCost+1e-9 {
+		t.Fatalf("LP relaxation %v exceeds exact %v", bound, exact.ExpCost)
 	}
 }
 
+// TestSolveSRRPTwoStageLShapedWrapper passes each non-default NestedOptions
+// value through the SRRP wrapper on a two-stage tree: the bound is the
+// default solve's, and the first stage covers the root demand.
 func TestSolveSRRPTwoStageLShapedWrapper(t *testing.T) {
 	par := DefaultParams(market.C1Medium)
-	tree := twoStageTree(t, 0.058)
-	res, err := SolveSRRPTwoStageLShaped(par, tree, []float64{0.4, 0.4}, benders.Options{MultiCut: true})
+	tree := srrpTree(t, 1, 0.058)
+	dem := []float64{0.4, 0.4}
+	_, want, err := SolveSRRPNestedLShaped(par, tree, dem, benders.NestedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged || res.Obj <= 0 {
-		t.Fatalf("bad result %+v", res)
-	}
-	// First-stage α₀ + ε must cover the root demand.
-	if res.X[0]+par.Epsilon < 0.4-1e-6 {
-		t.Fatalf("first stage under-produces: %v", res.X)
-	}
-}
-
-func TestBuildSRRPTwoStageErrors(t *testing.T) {
-	par := DefaultParams(market.C1Medium)
-	deep := srrpTree(t, 3, 0.06)
-	if _, err := BuildSRRPTwoStage(par, deep, []float64{1, 1}); err == nil {
-		t.Fatal("want stage-count error")
-	}
-	two := twoStageTree(t, 0.06)
-	if _, err := BuildSRRPTwoStage(par, two, []float64{1}); err == nil {
-		t.Fatal("want demand-length error")
-	}
-	capPar := par
-	capPar.ConsumptionRate = 1
-	capPar.Capacity = []float64{1, 1}
-	if _, err := BuildSRRPTwoStage(capPar, two, []float64{1, 1}); err == nil {
-		t.Fatal("want capacitated error")
+	for _, opts := range []benders.NestedOptions{{NoWarmStart: true}, {Workers: 2}} {
+		res, bound, err := SolveSRRPNestedLShaped(par, tree, dem, opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		if !res.Converged || bound <= 0 {
+			t.Fatalf("%+v: bad result %+v", opts, res)
+		}
+		if math.Abs(bound-want) > 1e-6 {
+			t.Fatalf("%+v: bound %v != default %v", opts, bound, want)
+		}
+		if res.RootAlpha+par.Epsilon < dem[0]-1e-6 {
+			t.Fatalf("%+v: first stage under-produces: α %v + ε %v", opts, res.RootAlpha, par.Epsilon)
+		}
 	}
 }
 
+// TestNestedLShapedBoundsSRRP checks the nested relaxation against the
+// exact SRRP on a 5-stage tree and on two-stage trees (one future stage,
+// the recourse problem of the classic L-shaped method).
 func TestNestedLShapedBoundsSRRP(t *testing.T) {
-	par := DefaultParams(market.C1Medium)
-	par.Epsilon = 0.2
-	tree := srrpTree(t, 4, 0.060)
-	dem := []float64{0.4, 0.5, 0.3, 0.6, 0.4}
-	res, bound, err := SolveSRRPNestedLShaped(par, tree, dem, benders.NestedOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("no convergence in %d iterations", res.Iterations)
-	}
-	exact, err := SolveSRRP(par, tree, dem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bound > exact.ExpCost+1e-6 {
-		t.Fatalf("nested bound %v exceeds exact %v", bound, exact.ExpCost)
-	}
-	// The lot-sizing relaxation with tight forcing bounds is strong: the
-	// bound should land within a few percent of the integer optimum.
-	if bound < 0.8*exact.ExpCost {
-		t.Fatalf("nested bound %v surprisingly loose vs exact %v", bound, exact.ExpCost)
-	}
-	// Root decisions are within their boxes.
-	if res.RootChi < -1e-9 || res.RootChi > 1+1e-9 || res.RootAlpha < -1e-9 {
-		t.Fatalf("bad root decisions %+v", res)
+	for _, tc := range []struct {
+		name    string
+		future  int // stages below the root
+		bid     float64
+		epsilon float64
+		dem     []float64
+	}{
+		{"five stages", 4, 0.060, 0.2, []float64{0.4, 0.5, 0.3, 0.6, 0.4}},
+		{"two stages", 1, 0.060, 0.1, []float64{0.4, 0.5}},
+		{"two stages, no initial storage", 1, 0.058, 0, []float64{0.4, 0.4}},
+	} {
+		par := DefaultParams(market.C1Medium)
+		par.Epsilon = tc.epsilon
+		tree := srrpTree(t, tc.future, tc.bid)
+		res, bound, err := SolveSRRPNestedLShaped(par, tree, tc.dem, benders.NestedOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !res.Converged {
+			t.Fatalf("%s: no convergence in %d iterations", tc.name, res.Iterations)
+		}
+		exact, err := SolveSRRP(par, tree, tc.dem)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if bound > exact.ExpCost+1e-6 {
+			t.Fatalf("%s: nested bound %v exceeds exact %v", tc.name, bound, exact.ExpCost)
+		}
+		// The lot-sizing relaxation with tight forcing bounds is strong: the
+		// bound should land within a few percent of the integer optimum.
+		if bound < 0.8*exact.ExpCost {
+			t.Fatalf("%s: nested bound %v surprisingly loose vs exact %v", tc.name, bound, exact.ExpCost)
+		}
+		// Root decisions are within their boxes.
+		if res.RootChi < -1e-9 || res.RootChi > 1+1e-9 || res.RootAlpha < -1e-9 {
+			t.Fatalf("%s: bad root decisions %+v", tc.name, res)
+		}
+		// Root production plus the initial storage covers the root demand.
+		if res.RootAlpha+par.Epsilon < tc.dem[0]-1e-6 {
+			t.Fatalf("%s: root under-produces: α %v + ε %v < %v", tc.name, res.RootAlpha, par.Epsilon, tc.dem[0])
+		}
 	}
 }
 

@@ -258,7 +258,4 @@ func TestCoreCtxCancellationPropagates(t *testing.T) {
 	if _, _, err := SolveSRRPNestedLShapedCtx(ctx, par, tr, dem[:2], benders.NestedOptions{}); err == nil {
 		t.Error("SolveSRRPNestedLShapedCtx ignored the canceled context")
 	}
-	if _, err := SolveSRRPTwoStageLShapedCtx(ctx, par, tr, dem[:2], benders.Options{}); err == nil {
-		t.Error("SolveSRRPTwoStageLShapedCtx ignored the canceled context")
-	}
 }

@@ -190,6 +190,11 @@ func (cfg *Config) validate() error {
 	if cfg.EpochHours < 1 {
 		return fmt.Errorf("fleet: epoch hours %d must be >= 1", cfg.EpochHours)
 	}
+	// Result.SlotsSimulated = n·Epochs·EpochHours must fit int64.
+	n, epochs, hours := int64(len(cfg.Population)), int64(cfg.Epochs), int64(cfg.EpochHours)
+	if epochs > math.MaxInt64/n || n*epochs > math.MaxInt64/hours {
+		return fmt.Errorf("fleet: %d ASPs × %d epochs × %d epoch hours overflows the int64 slot count", n, epochs, hours)
+	}
 	if cfg.Feedback < 0 || !isFinite(cfg.Feedback) {
 		return fmt.Errorf("fleet: feedback gain %v must be a finite non-negative number", cfg.Feedback)
 	}

@@ -78,6 +78,14 @@ func TestConfigValidation(t *testing.T) {
 		{"bad bid", func(c *Config) { c.Population[2].Bid = math.Inf(1) }, "bid"},
 		{"bad amp", func(c *Config) { c.Population[1].DiurnalAmp = 1.5 }, "amplitude"},
 		{"bad horizon", func(c *Config) { c.Population[0].PlanHorizon = 0 }, "plan horizon"},
+		// The slot count n·Epochs·EpochHours must fit int64: 4·2⁶² wraps
+		// to 0 and 3·2⁶² to a negative count.
+		{"slot count wraps to zero", func(c *Config) { c.Epochs, c.EpochHours = 1<<62, 1 },
+			"4 ASPs × 4611686018427387904 epochs × 1 epoch hours overflows"},
+		{"slot count wraps negative", func(c *Config) { c.Population, c.Epochs, c.EpochHours = c.Population[:3], 1<<62, 1 },
+			"3 ASPs × 4611686018427387904 epochs × 1 epoch hours overflows"},
+		{"epoch hours overflow", func(c *Config) { c.Population, c.EpochHours = c.Population[:2], 1<<62 },
+			"2 ASPs × 1 epochs × 4611686018427387904 epoch hours overflows"},
 	}
 	for _, tc := range cases {
 		cfg := &Config{
@@ -86,10 +94,17 @@ func TestConfigValidation(t *testing.T) {
 			Shards:     1, Epochs: 1, EpochHours: 24,
 		}
 		tc.mut(cfg)
-		_, err := Run(cfg)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%s: err = %v, want substring %q", tc.name, err, tc.want)
+		if res, err := Run(cfg); res != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Run err = %v, want substring %q", tc.name, err, tc.want)
 		}
+		if res, err := RunPolling(cfg); res != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: RunPolling err = %v, want substring %q", tc.name, err, tc.want)
+		}
+	}
+	// A slot count of exactly math.MaxInt64 fits.
+	cfg := &Config{Class: market.C1Medium, Population: pop[:1], Shards: 1, Epochs: math.MaxInt64, EpochHours: 1}
+	if err := cfg.validate(); err != nil {
+		t.Fatalf("1 ASP × MaxInt64 epochs × 1 epoch hour rejected: %v", err)
 	}
 }
 

@@ -99,12 +99,11 @@ const (
 	// (see SnapTol), not a real unserved-demand event.
 	DemandTol = 1e-9
 
-	// DecompGapTol is the default convergence gap of the Benders
-	// decompositions (benders.Options.Tol, benders.NestedOptions.Tol): the
-	// master/recourse (or root-bound/forward-cost) gap at which the
-	// L-shaped iteration declares the bound proven. It must dominate LPTol,
-	// otherwise the subproblem LPs cannot certify the gap the
-	// decomposition is asked to close.
+	// DecompGapTol is the convergence gap of the nested L-shaped method
+	// (benders.SolveTreeLP): the relative gap between the root bound and
+	// the cost of the forward-pass policy at which the iteration declares
+	// the bound proven. It must dominate LPTol, otherwise the vertex LPs
+	// cannot certify the gap the decomposition is asked to close.
 	DecompGapTol = 1e-7
 
 	// ThetaFloorTol is the slack below zero admitted on the cost-to-go
@@ -115,17 +114,9 @@ const (
 	// bound has converged).
 	ThetaFloorTol = 1e-6
 
-	// ThetaDefaultLB is the default lower bound on the expected-recourse
-	// variable θ of the two-stage L-shaped master
-	// (benders.Options.ThetaLB). Before the first optimality cut arrives
-	// the master minimises θ freely, so the bound must be finite to keep
-	// the master LP bounded, yet far below any realistic recourse cost so
-	// it never binds at convergence.
-	ThetaDefaultLB = -1e7
-
 	// ProbMassTol is the drift allowance on probability masses that are
-	// exactly 1 in exact arithmetic (scenario probabilities of a
-	// two-stage problem, per-stage masses of a scenario tree). It bounds
+	// exactly 1 in exact arithmetic (the total path mass of a scenario
+	// fan, the upper bound on a tree vertex's probability). It bounds
 	// the accumulated rounding of summing a few hundred probabilities,
 	// far above DriftTol because the inputs themselves are often quotients
 	// of empirical counts.

@@ -56,9 +56,6 @@ func TestToleranceOrdering(t *testing.T) {
 	if !(DriftTol < ProbMassTol) {
 		t.Error("DriftTol must stay below ProbMassTol (mass drift allowance covers summation rounding)")
 	}
-	if !(ThetaDefaultLB < 0) {
-		t.Error("ThetaDefaultLB must be negative (the master must be able to underestimate the recourse)")
-	}
 	if !(ThetaFloorTol > LPTol) {
 		t.Error("ThetaFloorTol must exceed LPTol (the theta floor absorbs LP rounding)")
 	}
