@@ -61,7 +61,8 @@ bench-dual:
 # Smoke-run the parallel nested L-shaped benchmark (8-stage/branch-3 tree,
 # serial cold baseline vs memo + warehouse + dual-warm re-solves); baselines
 # in BENCH_benders.json. The benchmark enforces the >= 3x wall-clock speedup
-# acceptance threshold and the 1e-6 relative bound agreement itself.
+# acceptance threshold and the 1e-6 relative bound agreement itself, and
+# prints the measured ratio as warehouse-warm's speedup_vs_serial_cold.
 bench-benders:
 	$(GO) test -run '^$$' -bench 'BenchmarkBendersNestedParallel' -benchtime 1x .
 

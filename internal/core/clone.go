@@ -21,9 +21,14 @@ package core
 //   - Faults stays shared on purpose: a server chaos-testing every tenant on
 //     one schedule wants a single injector, and the injector is safe for
 //     concurrent use (internal/core/faults).
+//   - BuildTree stays shared: rentpland hands every step re-plan a lookup
+//     into its one tree cache, so the function must be safe for concurrent
+//     use.
 //   - scenario.Tree values are treated as immutable once built; cached trees
-//     are shared across tenants without copying (the reentrancy suite in
-//     internal/serve guards this contract).
+//     are shared across tenants without copying, by srrp plans and by step
+//     re-plans alike, and a tenant's plan keeps pointing at the cached tree
+//     it was solved on (the reentrancy suite in internal/serve guards this
+//     contract).
 
 import (
 	"rentplan/internal/market"
@@ -50,7 +55,8 @@ func (p Params) Clone() Params {
 
 // Clone returns a deep copy of c: Par is cloned, and the Actual/Demand
 // series and the base distribution's support get fresh backing storage. The
-// Faults injector is shared (see the package comment above).
+// Faults injector and the BuildTree source are shared (see the file comment
+// above).
 func (c *ExecConfig) Clone() *ExecConfig {
 	if c == nil {
 		return nil

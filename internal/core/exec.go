@@ -30,6 +30,12 @@ type ExecConfig struct {
 	TreeStages int
 	// MaxBranch caps the scenario-tree branching (0 = uncapped).
 	MaxBranch int
+	// BuildTree, when set, supplies the scenario tree of every stochastic
+	// re-plan in place of scenario.Build: it is called with Build's
+	// arguments and must return the tree Build would, which the plan then
+	// shares and nobody may modify. nil calls scenario.Build. A caller that
+	// re-plans many tenants against one market shares trees through it.
+	BuildTree func(base stats.Discrete, bids []float64, onDemand float64, cfg scenario.BuildConfig) (*scenario.Tree, error)
 	// Replan is the rolling-horizon stride for the stochastic policy: a new
 	// SRRP is solved every Replan slots (paper: "a revised plan is issued
 	// periodically"). ≤0 means every slot.
@@ -328,8 +334,8 @@ func RunStochastic(cfg *ExecConfig, bids []float64) (*Outcome, error) {
 	return out, outErr
 }
 
-// planStochastic builds the bid-adjusted tree rooted at slot t and solves
-// SRRP with the current inventory as ε.
+// planStochastic builds (through cfg.BuildTree when set) the bid-adjusted
+// tree rooted at slot t and solves SRRP with the current inventory as ε.
 func planStochastic(ctx context.Context, cfg *ExecConfig, bids []float64, t, stages int, inv float64) (*StochasticPlan, error) {
 	par := cfg.Par
 	par.Epsilon = inv
@@ -346,7 +352,11 @@ func planStochastic(ctx context.Context, cfg *ExecConfig, bids []float64, t, sta
 	if err != nil {
 		return nil, err
 	}
-	tr, err := scenario.Build(cfg.Base, bids[t+1:t+stages+1], lambda, scenario.BuildConfig{
+	build := cfg.BuildTree
+	if build == nil {
+		build = scenario.Build
+	}
+	tr, err := build(cfg.Base, bids[t+1:t+stages+1], lambda, scenario.BuildConfig{
 		Stages:    stages,
 		MaxBranch: cfg.MaxBranch,
 		RootPrice: cfg.Actual[t],

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"hash/fnv"
 	"math"
 	"sync"
 
@@ -10,19 +9,22 @@ import (
 	"rentplan/internal/stats"
 )
 
-// treeKey identifies one bid-adjusted scenario tree: VM class (fixing λ),
-// market state (base-distribution hash and current spot price), and the
-// planning shape (bid, lookahead, branch cap). Co-located tenants planning
-// against the same market share the same key, so they reuse one immutable
-// tree — and, on the capacitated MILP path, the root LP factorisation
-// captured as a basis snapshot from the first solve.
+// treeKey identifies one bid-adjusted scenario tree by exactly the inputs
+// scenario.Build reads: the VM class (fixing the on-demand rate λ), hashes
+// of the base distribution and of the per-stage bids, the stages actually
+// built (a step re-plan near the end of its horizon builds fewer than its
+// lookahead), the branch cap and the current spot price at the root. An
+// srrp request and a step re-plan with equal inputs get the same key, so
+// every tenant planning against the same market state shares one immutable
+// tree, and on the capacitated MILP path the srrp solves share the root LP
+// factorisation captured as a basis snapshot from the first of them.
 type treeKey struct {
 	class     string
-	bid       float64
-	rootPrice float64
+	baseHash  uint64
+	bidsHash  uint64
 	stages    int
 	maxBranch int
-	baseHash  uint64
+	rootPrice float64
 }
 
 // treeEntry is one cached tree plus the cross-tenant warm-start state that
@@ -42,10 +44,7 @@ type treeEntry struct {
 // basisHash fingerprints the parts of a solve that determine the MILP
 // structure beyond the tree: the demand series and the capacity series.
 func basisHash(dem, capacity []float64) uint64 {
-	h := fnv.New64a()
-	hashFloats(h64writer{h}, dem)
-	hashFloats(h64writer{h}, capacity)
-	return h.Sum64()
+	return hashFloats(hashFloats(fnvOffset, dem), capacity)
 }
 
 // loadBasis returns the cached root basis when it was produced by a solve
@@ -135,34 +134,36 @@ func (c *treeCache) len() int {
 	return len(c.entries)
 }
 
-// keyFor derives the cache key for a request's tree.
-func keyFor(q *PlanRequest, base stats.Discrete) treeKey {
-	h := fnv.New64a()
-	hashFloats(h64writer{h}, base.Values)
-	hashFloats(h64writer{h}, base.Probs)
+// keyFor derives the cache key of the tree scenario.Build would build from
+// these inputs for a request of the given VM class.
+func keyFor(class string, base stats.Discrete, bids []float64, cfg scenario.BuildConfig) treeKey {
 	return treeKey{
-		class:     q.Class,
-		bid:       q.Bid,
-		rootPrice: q.RootPrice,
-		stages:    q.Stages,
-		maxBranch: q.MaxBranch,
-		baseHash:  h.Sum64(),
+		class:     class,
+		baseHash:  hashFloats(hashFloats(fnvOffset, base.Values), base.Probs),
+		bidsHash:  hashFloats(fnvOffset, bids),
+		stages:    cfg.Stages,
+		maxBranch: cfg.MaxBranch,
+		rootPrice: cfg.RootPrice,
 	}
 }
 
-type h64writer struct {
-	h interface{ Write(p []byte) (int, error) }
-}
+// FNV-64a parameters (hash/fnv), inlined so a key costs no allocation.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
 
-func hashFloats(w h64writer, xs []float64) {
-	var buf [8]byte
+// hashFloats folds the IEEE-754 bits of xs, little-endian byte by byte,
+// into the FNV-64a state h, followed by a separator byte so {1},{2} and
+// {1,2},{} hash differently.
+func hashFloats(h uint64, xs []float64) uint64 {
 	for _, x := range xs {
 		bits := math.Float64bits(x)
 		for i := 0; i < 8; i++ {
-			buf[i] = byte(bits >> (8 * i))
+			h ^= uint64(byte(bits >> (8 * i)))
+			h *= fnvPrime
 		}
-		w.h.Write(buf[:])
 	}
-	// Separator so {1},{2} and {1,2},{} hash differently.
-	w.h.Write([]byte{0xff})
+	h ^= 0xff
+	return h * fnvPrime
 }

@@ -156,7 +156,10 @@ func TestConcurrentIdenticalCachedInstance(t *testing.T) {
 // TestConcurrentStepTenantsNoBleed runs many tenants' rolling steps
 // concurrently, interleaved across slots, and checks each tenant's
 // decisions match a serial replay of the same tenant alone on a fresh
-// daemon — per-tenant state must never leak across tenants.
+// daemon — per-tenant state must never leak across tenants. The tenants
+// trade on one market, so their re-plans share cached trees, and after
+// every step each tenant also sends an srrp join with the same tree inputs,
+// which must hit the entry a step re-plan built.
 func TestConcurrentStepTenantsNoBleed(t *testing.T) {
 	const tenantsN = 6
 	const slots = 4
@@ -166,11 +169,13 @@ func TestConcurrentStepTenantsNoBleed(t *testing.T) {
 	for i := 0; i < tenantsN; i++ {
 		s := New(Config{Workers: 1, Queue: 8, MaxBudget: time.Minute})
 		for slot := 0; slot < slots; slot++ {
-			rec, resp := postPlan(t, s, tenantStep(i, slot))
-			if rec.Code != http.StatusOK {
-				t.Fatalf("serial tenant %d slot %d: %d %s", i, slot, rec.Code, rec.Body.String())
+			for _, req := range []*PlanRequest{tenantStep(i, slot), tenantJoin(i)} {
+				rec, resp := postPlan(t, s, req)
+				if rec.Code != http.StatusOK {
+					t.Fatalf("serial tenant %d slot %d %s: %d %s", i, slot, req.Model, rec.Code, rec.Body.String())
+				}
+				want[i] = append(want[i], *resp)
 			}
-			want[i] = append(want[i], *resp)
 		}
 	}
 
@@ -185,36 +190,61 @@ func TestConcurrentStepTenantsNoBleed(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for slot := 0; slot < slots; slot++ {
-				body, _ := json.Marshal(tenantStep(i, slot))
-				rec := httptest.NewRecorder()
-				s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body)))
-				if rec.Code != http.StatusOK {
-					t.Errorf("tenant %d slot %d: %d %s", i, slot, rec.Code, rec.Body.String())
-					return
+				for _, req := range []*PlanRequest{tenantStep(i, slot), tenantJoin(i)} {
+					body, _ := json.Marshal(req)
+					rec := httptest.NewRecorder()
+					s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body)))
+					if rec.Code != http.StatusOK {
+						t.Errorf("tenant %d slot %d %s: %d %s", i, slot, req.Model, rec.Code, rec.Body.String())
+						return
+					}
+					var resp PlanResponse
+					if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+						t.Errorf("tenant %d slot %d %s: %v", i, slot, req.Model, err)
+						return
+					}
+					got[i] = append(got[i], resp)
 				}
-				var resp PlanResponse
-				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-					t.Errorf("tenant %d slot %d: %v", i, slot, err)
-					return
-				}
-				got[i] = append(got[i], resp)
 			}
 		}(i)
 	}
 	wg.Wait()
 
 	for i := 0; i < tenantsN; i++ {
-		if len(got[i]) != slots {
+		if len(got[i]) != 2*slots {
 			t.Fatalf("tenant %d: %d responses", i, len(got[i]))
 		}
-		for slot := 0; slot < slots; slot++ {
-			w, g := want[i][slot], got[i][slot]
+		for k := range got[i] {
+			w, g := want[i][k], got[i][k]
 			if g.Cost != w.Cost || g.PlanReuse != w.PlanReuse ||
 				derefBool(g.Rent) != derefBool(w.Rent) || derefFloat(g.Generate) != derefFloat(w.Generate) {
-				t.Errorf("tenant %d slot %d: concurrent %+v, serial %+v", i, slot, g, w)
+				t.Errorf("tenant %d slot %d %s: concurrent %+v, serial %+v", i, k/2, g.Model, g, w)
+			}
+			if g.Model == "srrp" && !g.CacheHit {
+				t.Errorf("tenant %d slot %d: srrp join missed the tree its step built", i, k/2)
 			}
 		}
 	}
+	// Every re-plan (slots 0 and 3) and every join has the same tree
+	// inputs: one cached tree, which every tenant's plan points at.
+	if n := s.cache.len(); n != 1 {
+		t.Fatalf("cache holds %d trees for one market state", n)
+	}
+	tree := s.tenants.get("tenant-0").plan.Tree
+	for i := 1; i < tenantsN; i++ {
+		if s.tenants.get(fmt.Sprintf("tenant-%d", i)).plan.Tree != tree {
+			t.Errorf("tenant %d re-planned on a tree of its own", i)
+		}
+	}
+}
+
+// tenantJoin is an srrp request over the tree tenantStep's re-plans build:
+// two stages, the same market, tenant i's first three demands.
+func tenantJoin(i int) *PlanRequest {
+	step := tenantStep(i, 0)
+	req := srrpRequest()
+	req.Stages, req.Demand = step.Stages, step.Demand[:step.Stages+1]
+	return req
 }
 
 // tenantStep builds tenant i's step request for a slot; demand differs per

@@ -21,8 +21,9 @@ import (
 //     the base distribution (SolveSRRPCtx); the tree is cached and shared
 //     across tenants with identical market state.
 //   - "step": one rolling-horizon re-plan at Slot with the tenant's
-//     current Inventory (PlanStochasticStepCtx), warm-started from the
-//     tenant's previous plan and root basis when possible.
+//     current Inventory (PlanStochasticStepCtx) on a tree from the same
+//     cache, warm-started from the tenant's previous plan and root basis
+//     when possible.
 type PlanRequest struct {
 	// Tenant identifies the requesting application; per-tenant rolling
 	// state (previous plan, warm-start basis) is keyed by it.

@@ -24,6 +24,7 @@ import (
 	"rentplan/internal/mip"
 	"rentplan/internal/scenario"
 	"rentplan/internal/serve/metrics"
+	"rentplan/internal/stats"
 )
 
 // Config tunes the daemon.
@@ -74,8 +75,8 @@ type Server struct {
 	mPlans     *metrics.CounterVec // by model, rung
 	mRejected  *metrics.Counter
 	mInflight  *metrics.Gauge
-	mCacheHit  *metrics.Counter
-	mCacheMiss *metrics.Counter
+	mCacheHit  *metrics.CounterVec // by model: srrp | step
+	mCacheMiss *metrics.CounterVec // by model: srrp | step
 	mWarmRoot  *metrics.CounterVec // by source: cache | tenant
 	mPlanReuse *metrics.Counter
 	mNodes     *metrics.Counter
@@ -101,8 +102,8 @@ func New(cfg Config) *Server {
 		mPlans:     reg.NewCounterVec("rentpland_plans_total", "Completed plans by model and degradation rung.", "model", "rung"),
 		mRejected:  reg.NewCounter("rentpland_queue_rejections_total", "Requests rejected by admission control (429)."),
 		mInflight:  reg.NewGauge("rentpland_inflight_requests", "Admitted requests currently queued or solving."),
-		mCacheHit:  reg.NewCounter("rentpland_tree_cache_hits_total", "Scenario-tree cache hits."),
-		mCacheMiss: reg.NewCounter("rentpland_tree_cache_misses_total", "Scenario-tree cache misses (tree built)."),
+		mCacheHit:  reg.NewCounterVec("rentpland_tree_cache_hits_total", "Scenario-tree cache hits by model.", "model"),
+		mCacheMiss: reg.NewCounterVec("rentpland_tree_cache_misses_total", "Scenario-tree cache misses (tree built) by model.", "model"),
 		mWarmRoot:  reg.NewCounterVec("rentpland_warm_root_total", "MILP root relaxations warm-started from a shared basis.", "source"),
 		mPlanReuse: reg.NewCounter("rentpland_plan_reuse_total", "Step decisions served from the tenant's previous plan without a solve."),
 		mNodes:     reg.NewCounter("rentpland_mip_nodes_total", "Branch-and-bound nodes across all MILP solves."),
@@ -241,21 +242,13 @@ func (s *Server) solveSRRP(ctx context.Context, req *PlanRequest, budget time.Du
 	if err != nil {
 		return nil, err
 	}
-	base := req.base()
-	entry, hit, err := s.cache.getOrBuild(keyFor(req, base), func() (*scenario.Tree, error) {
-		return scenario.Build(base, req.bids(req.Stages), lambda, scenario.BuildConfig{
-			Stages:    req.Stages,
-			MaxBranch: req.MaxBranch,
-			RootPrice: req.RootPrice,
-		})
+	entry, hit, err := s.tree(req, req.base(), req.bids(req.Stages), lambda, scenario.BuildConfig{
+		Stages:    req.Stages,
+		MaxBranch: req.MaxBranch,
+		RootPrice: req.RootPrice,
 	})
 	if err != nil {
 		return nil, err
-	}
-	if hit {
-		s.mCacheHit.Inc()
-	} else {
-		s.mCacheMiss.Inc()
 	}
 	warm := false
 	bh := basisHash(req.Demand, par.Capacity)
@@ -315,7 +308,7 @@ func (s *Server) solveStep(ctx context.Context, req *PlanRequest, budget time.Du
 	if v := tn.decisionFromPlan(req.Slot, stride, req.RootPrice, req.Bid, lambda); v >= 0 {
 		s.mPlanReuse.Inc()
 		s.countPlan(req.Model, core.RungFull)
-		plan := tn.plan
+		plan := &tn.plan
 		rent, gen := plan.Chi[v], plan.Alpha[v]
 		return &PlanResponse{
 			Tenant: req.Tenant, Model: req.Model,
@@ -336,6 +329,13 @@ func (s *Server) solveStep(ctx context.Context, req *PlanRequest, budget time.Du
 		MaxBranch:  req.MaxBranch,
 		Replan:     stride,
 		Budget:     budget, // feeds the degradation ladder
+		BuildTree: func(base stats.Discrete, bids []float64, lambda float64, bc scenario.BuildConfig) (*scenario.Tree, error) {
+			entry, _, err := s.tree(req, base, bids, lambda, bc)
+			if err != nil {
+				return nil, err
+			}
+			return entry.tree, nil
+		},
 	}
 	// Per-tenant warm start: reuse the last re-plan's root basis when the
 	// MILP shape (lookahead) matches; a mismatch would merely cold-fall-
@@ -368,7 +368,7 @@ func (s *Server) solveStep(ctx context.Context, req *PlanRequest, budget time.Du
 		}, nil
 	}
 	s.recordMIP(plan.Stats)
-	tn.resetPlan(plan, req.Slot)
+	tn.resetPlan(plan, req.Slot, stride)
 	if plan.RootBasis != nil {
 		tn.basis, tn.basisFor = plan.RootBasis, uint64(stages)
 	}
@@ -385,6 +385,24 @@ func (s *Server) solveStep(ctx context.Context, req *PlanRequest, budget time.Du
 		resp.Nodes = plan.Stats.Nodes
 	}
 	return resp, nil
+}
+
+// tree returns the cache entry of the tree scenario.Build makes from these
+// inputs for req's VM class, building it on a miss, and counts the lookup
+// under req's model.
+func (s *Server) tree(req *PlanRequest, base stats.Discrete, bids []float64, lambda float64, bc scenario.BuildConfig) (*treeEntry, bool, error) {
+	entry, hit, err := s.cache.getOrBuild(keyFor(req.Class, base, bids, bc), func() (*scenario.Tree, error) {
+		return scenario.Build(base, bids, lambda, bc)
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	if hit {
+		s.mCacheHit.With(req.Model).Inc()
+	} else {
+		s.mCacheMiss.With(req.Model).Inc()
+	}
+	return entry, hit, nil
 }
 
 // countPlan bumps the per-model/rung plan counter and the degradation

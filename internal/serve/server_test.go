@@ -328,7 +328,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	for _, want := range []string{
 		`rentpland_requests_total{code="200"} 1`,
 		`rentpland_plans_total{model="srrp",rung="full"} 1`,
-		"rentpland_tree_cache_misses_total 1",
+		`rentpland_tree_cache_misses_total{model="srrp"} 1`,
 		"rentpland_request_seconds_count",
 	} {
 		if !strings.Contains(body, want) {

@@ -8,18 +8,23 @@ import (
 )
 
 // tenant holds the rolling-horizon state of one application between step
-// requests: the previous stochastic plan with the executed path through its
-// tree, and the last MILP root basis for warm-starting the next re-plan.
-// All fields are guarded by mu; a tenant's requests are serialised on it,
-// so two concurrent requests for the same tenant cannot interleave their
-// read-modify-write of the plan state (they queue, in arrival order at the
-// mutex). Distinct tenants share nothing except the immutable tree cache.
+// requests: what plan reuse reads of the previous stochastic plan, the
+// executed path through its tree, and the last MILP root basis for
+// warm-starting the next re-plan. All fields are guarded by mu; a tenant's
+// requests are serialised on it, so two concurrent requests for the same
+// tenant cannot interleave their read-modify-write of the plan state (they
+// queue, in arrival order at the mutex). Distinct tenants share nothing
+// except the immutable trees of the tree cache.
 type tenant struct {
 	mu sync.Mutex
 
-	// plan is the last stochastic plan; planStart its root slot; path the
-	// vertex path executed so far (path[0] == 0, the root).
-	plan      *core.StochasticPlan
+	// plan is the last stochastic plan cut to what plan reuse reads: its
+	// tree (the cache's, shared), ExpCost and Breakdown, and Alpha/Chi of
+	// only the vertices at a stage below the stride it was planned with,
+	// which scenario.Build numbers first; Beta is dropped. plan.Tree is nil
+	// before the first plan. planStart is its root slot; path the vertex
+	// path executed so far (path[0] == 0, the root).
+	plan      core.StochasticPlan
 	planStart int
 	path      []int
 
@@ -61,12 +66,13 @@ func (ts *tenants) len() int {
 
 // decisionFromPlan tries to serve the decision for slot t from the
 // tenant's current plan without a new solve: the plan must be rooted at or
-// before t, within the rolling stride, and the realised prices must map
-// onto a tree path (MatchChild at every slot since the root). It returns
-// the plan vertex for slot t, or -1 when a re-plan is needed. Callers hold
-// t.mu.
+// before t, within the request's rolling stride, and the realised prices
+// must map onto a tree path (MatchChild at every slot since the root) that
+// stays inside the stride the plan was made for, the vertices whose
+// decisions the tenant kept. It returns the plan vertex for slot t, or -1
+// when a re-plan is needed. Callers hold t.mu.
 func (t *tenant) decisionFromPlan(slot, stride int, actual, bid, lambda float64) int {
-	if t.plan == nil || slot < t.planStart || slot >= t.planStart+stride {
+	if t.plan.Tree == nil || slot < t.planStart || slot >= t.planStart+stride {
 		return -1
 	}
 	k := slot - t.planStart
@@ -76,17 +82,32 @@ func (t *tenant) decisionFromPlan(slot, stride int, actual, bid, lambda float64)
 		// request reports for the current slot's root; in the common
 		// one-slot stride the loop runs at most once.
 		next := t.plan.MatchChild(v, actual, bid, lambda)
-		if next < 0 {
-			return -1 // horizon exhausted: force a re-plan
+		if next < 0 || next >= len(t.plan.Alpha) {
+			// Horizon exhausted, or a stage past the stride the plan was
+			// kept for: force a re-plan.
+			return -1
 		}
 		t.path = append(t.path, next)
 	}
 	return t.path[k]
 }
 
-// resetPlan installs a fresh plan rooted at slot.
-func (t *tenant) resetPlan(plan *core.StochasticPlan, slot int) {
-	t.plan = plan
+// resetPlan installs a fresh plan rooted at slot, planned with the given
+// stride, keeping only the decisions of the vertices at a stage below the
+// stride. The tenant's previous decision buffers are reused, so the plan's
+// own per-vertex vectors are garbage once the response is written.
+func (t *tenant) resetPlan(plan *core.StochasticPlan, slot, stride int) {
+	n := 0
+	for n < plan.Tree.N() && plan.Tree.Stage[n] < stride {
+		n++
+	}
+	t.plan = core.StochasticPlan{
+		Tree:      plan.Tree,
+		Alpha:     append(t.plan.Alpha[:0], plan.Alpha[:n]...),
+		Chi:       append(t.plan.Chi[:0], plan.Chi[:n]...),
+		ExpCost:   plan.ExpCost,
+		Breakdown: plan.Breakdown,
+	}
 	t.planStart = slot
 	t.path = t.path[:0]
 	t.path = append(t.path, 0)
