@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt vet lint test-analysis race race-fleet check bench bench-sparse bench-dual bench-benders serve-test bench-serve bench-fleet fuzz-lp fuzz-dp fuzz-fleet fuzz-nested
+.PHONY: build test fmt vet lint test-analysis race race-fleet perfbench-smoke check bench bench-sparse bench-dual bench-benders serve-test bench-serve bench-fleet fuzz-lp fuzz-dp fuzz-fleet fuzz-nested
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,12 @@ race:
 # so a rarely interleaved race, or a worker that hangs, shows up.
 race-fleet:
 	$(GO) test -race -count=10 -timeout 300s ./internal/fleet
+
+# perfbench is a module of its own (replace rentplan => ../), so the root
+# build, vet and test never compile it; vet it and run its smoke tests so an
+# API change that breaks the benchmark fails here rather than at its run.
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 check: fmt vet lint test-analysis race
 

@@ -440,43 +440,6 @@ func BenchmarkAblationTreeWidth(b *testing.B) {
 
 func widthName(w int) string { return "branch=" + string(rune('0'+w)) }
 
-// BenchmarkAblationBranchingRules compares the B&B variable-selection rules
-// on the capacitated DRRP MILP.
-func BenchmarkAblationBranchingRules(b *testing.B) {
-	par, prices, dem := drrpInstance(18)
-	par.ConsumptionRate = 1
-	par.Capacity = make([]float64, 18)
-	for t := range par.Capacity {
-		par.Capacity[t] = 1.0
-	}
-	prob, _, err := core.BuildDRRPMILP(par, prices, dem)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rules := map[string]mip.BranchRule{
-		"most-fractional":  mip.BranchMostFractional,
-		"pseudo-cost":      mip.BranchPseudoCost,
-		"first-fractional": mip.BranchFirstFractional,
-	}
-	for name, rule := range rules {
-		b.Run(name, func(b *testing.B) {
-			var nodes int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sol, err := mip.SolveWithOptions(prob, mip.Options{Rule: rule})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if sol.Status != mip.StatusOptimal {
-					b.Fatalf("status %v", sol.Status)
-				}
-				nodes = sol.Nodes
-			}
-			b.ReportMetric(float64(nodes), "bb_nodes")
-		})
-	}
-}
-
 // BenchmarkAblationRollingStride sweeps the SRRP re-planning stride: frequent
 // revision costs more solves but adapts faster.
 func BenchmarkAblationRollingStride(b *testing.B) {
@@ -628,47 +591,6 @@ func BenchmarkExtensionFederation(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkAblationCutAndBranch compares plain branch-and-bound against
-// (l,S) cut-and-branch on a capacitated DRRP instance — the paper's
-// branch-and-cut citation ([27]) made concrete.
-func BenchmarkAblationCutAndBranch(b *testing.B) {
-	par, prices, dem := drrpInstance(14)
-	par.ConsumptionRate = 1
-	par.Capacity = make([]float64, 14)
-	for t := range par.Capacity {
-		par.Capacity[t] = 1.0
-	}
-	b.Run("plain-bb", func(b *testing.B) {
-		prob, _, err := core.BuildDRRPMILP(par, prices, dem)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var nodes int
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sol, err := mip.Solve(prob)
-			if err != nil || sol.Status != mip.StatusOptimal {
-				b.Fatalf("%v %v", sol, err)
-			}
-			nodes = sol.Nodes
-		}
-		b.ReportMetric(float64(nodes), "bb_nodes")
-	})
-	b.Run("cut-and-branch", func(b *testing.B) {
-		var stats *core.CutStats
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var err error
-			_, stats, err = core.SolveDRRPCutAndBranch(par, prices, dem)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(stats.Nodes), "bb_nodes")
-		b.ReportMetric(float64(stats.CutsAdded), "ls_cuts")
-	})
 }
 
 // BenchmarkAblationCapacitatedDPvsMILP compares the exact Florian–Klein

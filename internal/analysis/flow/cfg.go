@@ -2,9 +2,8 @@
 // machinery under rentlint's flow-powered analyzers (poolescape, ctxflow,
 // statusflow). It is pure stdlib: a CFG of basic blocks is built from a
 // function body's go/ast statements (if/for/range/switch/select/goto and
-// labeled break/continue all wired), def-use chains index every local
-// variable, and a small join-semilattice framework iterates configurable
-// transfer functions to a forward fixpoint.
+// labeled break/continue all wired), and a small join-semilattice framework
+// iterates configurable transfer functions to a forward fixpoint.
 //
 // The scope is deliberately intraprocedural: a Graph describes one function
 // body and never descends into nested function literals (a FuncLit is an
@@ -119,17 +118,6 @@ func (b *builder) jump(to *Block) {
 		edge(b.cur, to)
 	}
 	b.cur = nil
-}
-
-// start opens a new current block. If the previous block is still live the
-// new block continues it; otherwise the new block is (so far) unreachable.
-func (b *builder) start(kind string) *Block {
-	blk := b.newBlock(kind)
-	if b.cur != nil {
-		edge(b.cur, blk)
-	}
-	b.cur = blk
-	return blk
 }
 
 // append records a straight-line node on the current path, reviving the

@@ -320,27 +320,3 @@ func difference(xs []float64, spec Spec) []float64 {
 	}
 	return w
 }
-
-// Residuals recomputes the in-sample CSS residuals of the fitted model.
-func (m *Model) Residuals() []float64 {
-	w := difference(m.series, m.Spec)
-	a := expandPoly(m.AR, m.SAR, m.Spec.Period)
-	b := expandMA(m.MA, m.SMA, m.Spec.Period)
-	e, _ := cssResiduals(w, a, b, m.Mean)
-	return e
-}
-
-// ResidualDiagnostic applies the Ljung–Box portmanteau test to the fitted
-// model's CSS residuals (skipping the warm-up zeros): a small p-value means
-// the model leaves structure unexplained. The degrees of freedom are
-// reduced by the number of estimated ARMA coefficients, per Box–Jenkins
-// practice.
-func (m *Model) ResidualDiagnostic(h int) (stat, pValue float64, err error) {
-	res := m.Residuals()
-	skip := len(expandPoly(m.AR, m.SAR, m.Spec.Period))
-	if skip >= len(res) {
-		return 0, 0, errors.New("arima: no residuals to diagnose")
-	}
-	fitted := len(m.AR) + len(m.MA) + len(m.SAR) + len(m.SMA)
-	return timeseries.LjungBox(res[skip:], h, fitted)
-}

@@ -286,7 +286,11 @@ func TestResidualsAreWhiteForCorrectModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := m.Residuals()[5:] // skip warmup zeros
+	w := difference(m.series, m.Spec)
+	a := expandPoly(m.AR, m.SAR, m.Spec.Period)
+	b := expandMA(m.MA, m.SMA, m.Spec.Period)
+	e, _ := cssResiduals(w, a, b, m.Mean)
+	res := e[5:] // skip warmup zeros
 	// Lag-1 autocorrelation of residuals should be near zero.
 	var num, den, mu float64
 	for _, r := range res {
@@ -312,33 +316,5 @@ func TestSpecString(t *testing.T) {
 	s2 := Spec{P: 1, D: 1}
 	if got := s2.String(); got != "ARIMA(1,1,0)" {
 		t.Fatalf("String = %q", got)
-	}
-}
-
-func TestResidualDiagnostic(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	// AR(2) data: an AR(2) fit leaves white residuals, an AR(1) fit does not.
-	xs := simulateARMA(rng, 4000, []float64{1.1, -0.3}, nil, 0, 1)
-	good, err := Fit(xs, Spec{P: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, pGood, err := good.ResidualDiagnostic(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pGood < 0.01 {
-		t.Fatalf("correct model rejected: p=%v", pGood)
-	}
-	bad, err := Fit(xs, Spec{P: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, pBad, err := bad.ResidualDiagnostic(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pBad > 0.01 {
-		t.Fatalf("underfitted model not rejected: p=%v", pBad)
 	}
 }

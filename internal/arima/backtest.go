@@ -115,22 +115,3 @@ func Backtest(xs []float64, cfg BacktestConfig) (*BacktestResult, error) {
 	}
 	return res, nil
 }
-
-// HorizonStudy backtests the spec at several horizons and reports the
-// improvement over the mean forecast per horizon — the short-term vs
-// long-term predictability comparison of Sec. IV-A. Improvements typically
-// shrink toward zero as the horizon grows.
-func HorizonStudy(xs []float64, spec Spec, window int, horizons []int) (map[int]*BacktestResult, error) {
-	if len(horizons) == 0 {
-		return nil, errors.New("arima: no horizons")
-	}
-	out := make(map[int]*BacktestResult, len(horizons))
-	for _, h := range horizons {
-		r, err := Backtest(xs, BacktestConfig{Spec: spec, Window: window, Horizon: h})
-		if err != nil {
-			return nil, fmt.Errorf("arima: horizon %d: %w", h, err)
-		}
-		out[h] = r
-	}
-	return out, nil
-}

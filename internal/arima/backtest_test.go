@@ -32,12 +32,15 @@ func TestBacktestAR1BeatsMeanShortHorizon(t *testing.T) {
 func TestHorizonStudyImprovementDecays(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	xs := simulateARMA(rng, 3000, []float64{0.8}, nil, 0, 1)
-	study, err := HorizonStudy(xs, Spec{P: 1, WithMean: true}, 500, []int{1, 8, 48})
-	if err != nil {
-		t.Fatal(err)
+	imp := make(map[int]float64)
+	for _, h := range []int{1, 8, 48} {
+		r, err := Backtest(xs, BacktestConfig{Spec: Spec{P: 1, WithMean: true}, Window: 500, Horizon: h})
+		if err != nil {
+			t.Fatalf("horizon %d: %v", h, err)
+		}
+		imp[h] = r.Improvement()
 	}
-	i1 := study[1].Improvement()
-	i48 := study[48].Improvement()
+	i1, i48 := imp[1], imp[48]
 	if i1 <= i48 {
 		t.Fatalf("short-horizon improvement (%v) should exceed long-horizon (%v)", i1, i48)
 	}
@@ -73,9 +76,6 @@ func TestBacktestErrors(t *testing.T) {
 	}
 	if _, err := Backtest(xs[:10], BacktestConfig{Spec: Spec{P: 1}, Horizon: 5}); err == nil {
 		t.Fatal("want short-series error")
-	}
-	if _, err := HorizonStudy(xs, Spec{P: 1}, 50, nil); err == nil {
-		t.Fatal("want empty-horizons error")
 	}
 	// A window too small for the spec makes every origin fail.
 	if _, err := Backtest(xs, BacktestConfig{Spec: Spec{P: 3, Q: 3}, Horizon: 2, Window: 12, MinOrigin: 90}); err == nil {

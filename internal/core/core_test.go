@@ -338,19 +338,4 @@ func TestCostBreakdownHelpers(t *testing.T) {
 	if acc.Total() != 20 {
 		t.Fatalf("Add wrong: %+v", acc)
 	}
-	half := b.Scale(0.5)
-	if half.Total() != 5 || half.Compute != 0.5 {
-		t.Fatalf("Scale wrong: %+v", half)
-	}
-}
-
-func TestPlanHorizon(t *testing.T) {
-	par, prices, dem := drrpFixture(market.C1Medium, 6, 1)
-	plan, err := SolveDRRP(par, prices, dem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Horizon() != 6 {
-		t.Fatalf("horizon %d", plan.Horizon())
-	}
 }

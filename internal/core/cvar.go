@@ -220,14 +220,3 @@ func computeCVaR(costs, probs []float64, alpha float64) (eta, cvar float64) {
 	}
 	return eta, eta + tail/(1-alpha)
 }
-
-// WorstScenarioCost returns the maximum realised scenario cost of the plan.
-func (p *CVaRPlan) WorstScenarioCost() float64 {
-	worst := math.Inf(-1)
-	for _, c := range p.ScenarioCosts {
-		if c > worst {
-			worst = c
-		}
-	}
-	return worst
-}

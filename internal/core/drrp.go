@@ -30,9 +30,6 @@ type Plan struct {
 	Gap      float64
 }
 
-// Horizon returns the number of slots.
-func (p *Plan) Horizon() int { return len(p.Alpha) }
-
 // SolveDRRP computes an optimal deterministic rental plan. prices[t] is the
 // compute rental cost Cp(i,t) for each slot (fixed on-demand rates, or bid/
 // forecast prices when planning for the spot market); dem[t] is D(i,t).

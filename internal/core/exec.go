@@ -45,10 +45,6 @@ type ExecConfig struct {
 	// of exec_ladder.go instead of stalling the executor; zero disables the
 	// ladder and reproduces the historical behaviour exactly.
 	Budget time.Duration
-	// MaxDegradedGap is the largest proven optimality gap at which a
-	// deadline-expired incumbent is still accepted (RungIncumbent); ≤0
-	// selects 0.05.
-	MaxDegradedGap float64
 	// Faults injects deterministic planning failures (tests only); non-nil
 	// arms the degradation ladder even without a Budget.
 	Faults *faults.Injector

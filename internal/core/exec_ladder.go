@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 
-	"rentplan/internal/core/faults"
 	"rentplan/internal/scenario"
 	"rentplan/internal/stats"
 )
@@ -15,7 +14,7 @@ import (
 //
 //	RungFull      — the budgeted solve finished with a proven optimum.
 //	RungIncumbent — the solve hit the deadline (or was canceled) but left an
-//	                incumbent whose proven gap is within MaxDegradedGap.
+//	                incumbent whose proven gap is within maxDegradedGap.
 //	RungDP        — the budgeted solve failed outright (or its incumbent was
 //	                too loose); re-plan with the exact uncapacitated DP on the
 //	                expected effective price path, which always finishes in
@@ -70,15 +69,11 @@ type Degradation struct {
 // bit for bit.
 func (c *ExecConfig) degradable() bool { return c.Budget > 0 || c.Faults != nil }
 
-// maxDegradedGap returns the incumbent-acceptance tolerance, defaulting to
-// 5% — loose enough to keep a near-optimal plan, tight enough to reject an
-// incumbent the search had barely started on.
-func (c *ExecConfig) maxDegradedGap() float64 {
-	if c.MaxDegradedGap > 0 {
-		return c.MaxDegradedGap
-	}
-	return 0.05
-}
+// maxDegradedGap is the largest proven optimality gap at which a
+// deadline-expired incumbent is accepted (RungIncumbent): loose enough to
+// keep a near-optimal plan, tight enough to reject an incumbent the search
+// had barely started on.
+const maxDegradedGap = 0.05
 
 // planContext derives the context for one rolling-horizon re-solve from the
 // caller's context: the planning budget becomes a deadline layered on top of
@@ -87,64 +82,36 @@ func (c *ExecConfig) maxDegradedGap() float64 {
 // The batch executors pass context.Background(), which reproduces the
 // historical behaviour bit for bit; a server passes the request context so
 // a disconnecting client aborts the solve.
-func (c *ExecConfig) planContext(parent context.Context) (context.Context, context.CancelFunc, faults.Kind) {
+func (c *ExecConfig) planContext(parent context.Context) (context.Context, context.CancelFunc) {
 	ctx := parent
 	cancel := context.CancelFunc(func() {})
 	if c.Budget > 0 {
 		ctx, cancel = context.WithTimeout(ctx, c.Budget)
 	}
-	kind := faults.None
 	if c.Faults != nil {
 		budgetCancel := cancel
 		var faultCancel context.CancelFunc
-		ctx, faultCancel, kind = c.Faults.PlanContext(ctx)
+		ctx, faultCancel, _ = c.Faults.PlanContext(ctx)
 		cancel = func() { faultCancel(); budgetCancel() }
 	}
-	return ctx, cancel, kind
+	return ctx, cancel
 }
 
 // planStochasticLadder runs one SRRP re-plan through the ladder. A nil plan
 // with RungOnDemand tells the caller to serve the slot just in time.
 func planStochasticLadder(parent context.Context, cfg *ExecConfig, bids []float64, t, stages int, inv float64) (*StochasticPlan, DegradeRung) {
-	ctx, cancel, _ := cfg.planContext(parent)
+	ctx, cancel := cfg.planContext(parent)
 	defer cancel()
 	plan, err := planStochastic(ctx, cfg, bids, t, stages, inv)
 	if err == nil && plan != nil {
 		if !plan.Degraded {
 			return plan, RungFull
 		}
-		if plan.Gap <= cfg.maxDegradedGap() {
+		if plan.Gap <= maxDegradedGap {
 			return plan, RungIncumbent
 		}
 	}
 	if dp, err2 := fallbackStochasticChain(cfg, bids, t, stages, inv); err2 == nil {
-		return dp, RungDP
-	}
-	return nil, RungOnDemand
-}
-
-// planDeterministicLadder runs one rolling DRRP re-plan through the ladder.
-func planDeterministicLadder(parent context.Context, cfg *ExecConfig, prices, dem []float64, inv float64) (*Plan, DegradeRung) {
-	ctx, cancel, _ := cfg.planContext(parent)
-	defer cancel()
-	par := cfg.Par
-	par.Epsilon = inv
-	plan, err := SolveDRRPCtx(ctx, par, prices, dem)
-	if err == nil && plan != nil {
-		if !plan.Degraded {
-			return plan, RungFull
-		}
-		if plan.Gap <= cfg.maxDegradedGap() {
-			return plan, RungIncumbent
-		}
-	}
-	// Rung 3: drop the bottleneck constraint and solve the exact
-	// Wagner–Whitin DP on the same prices. The relaxation can under-produce
-	// against a binding capacity, but the executor's emergency correction
-	// keeps the realised schedule feasible.
-	par.Capacity = nil
-	par.ConsumptionRate = 0
-	if dp, err2 := SolveDRRP(par, prices, dem); err2 == nil {
 		return dp, RungDP
 	}
 	return nil, RungOnDemand

@@ -75,32 +75,6 @@ func TestFaultInjectionWeekLongStochastic(t *testing.T) {
 	}
 }
 
-// TestFaultInjectionDeterministicRolling exercises the deterministic rolling
-// executor's ladder the same way.
-func TestFaultInjectionDeterministicRolling(t *testing.T) {
-	const T = 72
-	cfg := execFixture(t, market.M1Large, T, 5)
-	cfg.Replan = 1
-	cfg.Faults = faults.New(11, faults.Config{StallEvery: 3})
-	bids := constants(T, stats.Mean(cfg.Base.Values))
-
-	out, err := RunDeterministicRolling(cfg, bids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !isFiniteNonNeg(out.Cost) {
-		t.Fatalf("realised cost %v not finite non-negative", out.Cost)
-	}
-	if len(out.Degradations) == 0 {
-		t.Fatal("no degradations recorded despite injected stalls")
-	}
-	for _, d := range out.Degradations {
-		if d.Rung != RungDP && d.Rung != RungOnDemand {
-			t.Fatalf("slot %d: deterministic ladder produced rung %v, want dp or on-demand", d.Slot, d.Rung)
-		}
-	}
-}
-
 // TestBudgetWithoutFaultsIsTransparent arms the ladder with a generous
 // budget and no faults: every re-plan must stay at the full rung and the
 // outcome must match the unbudgeted run exactly.

@@ -36,7 +36,7 @@ type Params struct {
 	// uses the MILP path.
 	Capacity []float64
 	// Solver forwards branch-and-bound options to every MILP solve these
-	// models perform (DRRP/SRRP capacitated paths, cut-and-branch, CVaR).
+	// models perform (DRRP/SRRP capacitated paths, CVaR).
 	// The zero value selects the mip defaults, including a parallel search
 	// across all cores; set Solver.Workers = 1 to force the serial path or
 	// Solver.Progress to stream solver statistics.
@@ -134,14 +134,4 @@ func (b *CostBreakdown) Add(o CostBreakdown) {
 	b.Holding += o.Holding
 	b.TransferIn += o.TransferIn
 	b.TransferOut += o.TransferOut
-}
-
-// Scale multiplies every component by f and returns the result.
-func (b CostBreakdown) Scale(f float64) CostBreakdown {
-	return CostBreakdown{
-		Compute:     b.Compute * f,
-		Holding:     b.Holding * f,
-		TransferIn:  b.TransferIn * f,
-		TransferOut: b.TransferOut * f,
-	}
 }

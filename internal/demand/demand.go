@@ -1,12 +1,10 @@
 // Package demand provides the per-instance data-service demand processes
 // D(i,t) that drive the rental planning models. The paper samples hourly
-// demand from a truncated normal N(0.4, 0.2) GB (Sec. V-A); additional
-// processes (constant, diurnal, bursty) support the sensitivity studies and
-// examples.
+// demand from a truncated normal N(0.4, 0.2) GB (Sec. V-A); a diurnal
+// day/night cycle drives the fleet simulator and the examples.
 package demand
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -17,8 +15,6 @@ import (
 type Process interface {
 	// At returns the demand for slot t (t = 0,1,...). Values are ≥ 0.
 	At(t int) float64
-	// Name identifies the process in reports.
-	Name() string
 }
 
 // Series materialises the first n slots of a process.
@@ -52,20 +48,6 @@ func (p *TruncNormal) At(t int) float64 {
 	return p.cache[t]
 }
 
-// Name implements Process.
-func (p *TruncNormal) Name() string {
-	return fmt.Sprintf("truncnormal(%.2g,%.2g)", p.Mu, p.Sigma)
-}
-
-// Constant is a fixed demand per slot.
-type Constant struct{ Value float64 }
-
-// At implements Process.
-func (p Constant) At(int) float64 { return p.Value }
-
-// Name implements Process.
-func (p Constant) Name() string { return fmt.Sprintf("constant(%.2g)", p.Value) }
-
 // Diurnal follows a day/night cycle: Base·(1 + Amp·sin(2π(t−Phase)/24)),
 // clamped at zero.
 type Diurnal struct {
@@ -81,9 +63,6 @@ func (p Diurnal) At(t int) float64 {
 	}
 	return v
 }
-
-// Name implements Process.
-func (p Diurnal) Name() string { return fmt.Sprintf("diurnal(%.2g,%.2g)", p.Base, p.Amp) }
 
 func sin24(t int) float64 {
 	// Small fixed table keeps the process integer-exact and allocation-free.
@@ -103,67 +82,3 @@ var sinTable = func() [24]float64 {
 	}
 	return tbl
 }()
-
-// Bursty alternates quiet and burst phases: quiet slots draw Low, and with
-// probability BurstProb a slot starts a burst of BurstLen slots drawing
-// High. Draws are memoised per slot.
-type Bursty struct {
-	Low, High float64
-	BurstProb float64
-	BurstLen  int
-	rng       *rand.Rand
-	cache     []float64
-	burstLeft int
-}
-
-// NewBursty builds a bursty process.
-func NewBursty(low, high, prob float64, length int, seed int64) *Bursty {
-	if length < 1 {
-		length = 1
-	}
-	return &Bursty{Low: low, High: high, BurstProb: prob, BurstLen: length, rng: stats.NewRNG(seed)}
-}
-
-// At implements Process.
-func (p *Bursty) At(t int) float64 {
-	for len(p.cache) <= t {
-		v := p.Low
-		if p.burstLeft > 0 {
-			v = p.High
-			p.burstLeft--
-		} else if p.rng.Float64() < p.BurstProb {
-			v = p.High
-			p.burstLeft = p.BurstLen - 1
-		}
-		p.cache = append(p.cache, v)
-	}
-	return p.cache[t]
-}
-
-// Name implements Process.
-func (p *Bursty) Name() string {
-	return fmt.Sprintf("bursty(%.2g/%.2g,p=%.2g)", p.Low, p.High, p.BurstProb)
-}
-
-// Fixed wraps a pre-computed demand series (cycling if t exceeds its
-// length), used to replay a specific workload.
-type Fixed struct {
-	Values []float64
-	Label  string
-}
-
-// At implements Process.
-func (p Fixed) At(t int) float64 {
-	if len(p.Values) == 0 {
-		return 0
-	}
-	return p.Values[t%len(p.Values)]
-}
-
-// Name implements Process.
-func (p Fixed) Name() string {
-	if p.Label != "" {
-		return p.Label
-	}
-	return "fixed"
-}

@@ -31,19 +31,6 @@ func TestTruncNormalProperties(t *testing.T) {
 			t.Fatal("seeded processes diverge")
 		}
 	}
-	if p.Name() == "" {
-		t.Fatal("empty name")
-	}
-}
-
-func TestConstant(t *testing.T) {
-	p := Constant{Value: 0.7}
-	if p.At(0) != 0.7 || p.At(99) != 0.7 {
-		t.Fatal("constant broken")
-	}
-	if p.Name() == "" {
-		t.Fatal("empty name")
-	}
 }
 
 func TestDiurnalCycle(t *testing.T) {
@@ -71,75 +58,14 @@ func TestDiurnalCycle(t *testing.T) {
 	if ph.At(12) != p.At(6) {
 		t.Fatal("phase shift wrong")
 	}
-	if ph.Name() == "" {
-		t.Fatal("empty name")
-	}
-}
-
-func TestBursty(t *testing.T) {
-	p := NewBursty(0.2, 2.0, 0.1, 3, 5)
-	xs := Series(p, 2000)
-	bursts, quiets := 0, 0
-	for _, x := range xs {
-		switch x {
-		case 0.2:
-			quiets++
-		case 2.0:
-			bursts++
-		default:
-			t.Fatalf("unexpected value %v", x)
-		}
-	}
-	if bursts == 0 || quiets == 0 {
-		t.Fatalf("bursts=%d quiets=%d", bursts, quiets)
-	}
-	// Burst fraction ~ p·len/(1+p·len) ≈ 0.23 for p=.1, len=3.
-	frac := float64(bursts) / float64(len(xs))
-	if frac < 0.1 || frac > 0.4 {
-		t.Fatalf("burst fraction %v", frac)
-	}
-	// Deterministic per seed and memoised.
-	q := NewBursty(0.2, 2.0, 0.1, 3, 5)
-	for i := 0; i < 500; i++ {
-		if p.At(i) != q.At(i) {
-			t.Fatal("seeded processes diverge")
-		}
-	}
-	// Length below 1 is clamped.
-	r := NewBursty(0.1, 1, 0.5, 0, 1)
-	if r.BurstLen != 1 {
-		t.Fatalf("burst length %d", r.BurstLen)
-	}
-	if p.Name() == "" {
-		t.Fatal("empty name")
-	}
-}
-
-func TestFixed(t *testing.T) {
-	p := Fixed{Values: []float64{1, 2, 3}}
-	want := []float64{1, 2, 3, 1, 2, 3}
-	for i, w := range want {
-		if p.At(i) != w {
-			t.Fatalf("At(%d) = %v", i, p.At(i))
-		}
-	}
-	if (Fixed{}).At(5) != 0 {
-		t.Fatal("empty fixed should be 0")
-	}
-	if p.Name() != "fixed" {
-		t.Fatalf("name %q", p.Name())
-	}
-	if (Fixed{Label: "replay"}).Name() != "replay" {
-		t.Fatal("label ignored")
-	}
 }
 
 func TestSeriesLength(t *testing.T) {
-	xs := Series(Constant{Value: 1}, 7)
+	xs := Series(Diurnal{Base: 1}, 7)
 	if len(xs) != 7 {
 		t.Fatalf("len %d", len(xs))
 	}
-	if s := Series(Constant{Value: 1}, 0); len(s) != 0 {
+	if s := Series(Diurnal{Base: 1}, 0); len(s) != 0 {
 		t.Fatal("empty series")
 	}
 	if math.IsNaN(xs[0]) {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"rentplan/internal/arima"
 	"rentplan/internal/market"
@@ -276,28 +275,4 @@ func Fig8Forecast(cfg *Config, evalDay int, searchOrders bool) (*Fig8Result, err
 		res.Improvement = 1 - res.MSPESarima/res.MSPEMeanForecast
 	}
 	return res, nil
-}
-
-// Fig8AveragedImprovement runs the Fig. 8 study over every configured
-// evaluation day and returns the per-day improvements, supporting the
-// paper's claim that SARIMA "does not yield satisfactory accuracy".
-func Fig8AveragedImprovement(cfg *Config) (improvements []float64, meanImprovement float64, err error) {
-	if err := cfg.validate(); err != nil {
-		return nil, 0, err
-	}
-	if len(cfg.EvalDays) == 0 {
-		return nil, 0, fmt.Errorf("experiments: no evaluation days configured")
-	}
-	days := append([]int(nil), cfg.EvalDays...)
-	sort.Ints(days)
-	for _, d := range days {
-		r, err := Fig8Forecast(cfg, d, false)
-		if err != nil {
-			return nil, 0, err
-		}
-		improvements = append(improvements, r.Improvement)
-		meanImprovement += r.Improvement
-	}
-	meanImprovement /= float64(len(improvements))
-	return improvements, meanImprovement, nil
 }

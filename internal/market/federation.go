@@ -31,9 +31,6 @@ func NewFederation(class VMClass, n, days int, seed int64) (*Federation, error) 
 	return f, nil
 }
 
-// NumProviders returns the coalition size.
-func (f *Federation) NumProviders() int { return len(f.Providers) }
-
 // HourlyMin resamples every provider and returns the per-slot minimum price
 // along with the index of the winning provider per slot.
 func (f *Federation) HourlyMin(start float64, n int) (prices []float64, provider []int, err error) {

@@ -255,8 +255,8 @@ func TestFederationMinPrices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.NumProviders() != 3 {
-		t.Fatalf("providers %d", f.NumProviders())
+	if len(f.Providers) != 3 {
+		t.Fatalf("providers %d", len(f.Providers))
 	}
 	minP, who, err := f.HourlyMin(0, 30*24)
 	if err != nil {

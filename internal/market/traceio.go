@@ -1,7 +1,6 @@
 package market
 
 import (
-	"bufio"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -12,25 +11,10 @@ import (
 	"rentplan/internal/timeseries"
 )
 
-// WriteTraceCSV serialises a spot trace as "hour,price" rows with a header,
-// the format cmd/spotsim emits and ReadTraceCSV parses. Real price
-// histories (e.g. archived EC2 feeds) can be converted to this format and
-// used everywhere a generated trace is.
-func WriteTraceCSV(w io.Writer, tr *SpotTrace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "hour,price\n"); err != nil {
-		return err
-	}
-	for _, e := range tr.Events.Events {
-		if _, err := fmt.Fprintf(bw, "%g,%g\n", e.Hour, e.Value); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadTraceCSV parses a "hour,price" CSV into a spot trace for the given
-// class. Events are sorted by time; Days is derived from the last event.
+// ReadTraceCSV parses a "hour,price" CSV, the format cmd/spotsim emits,
+// into a spot trace for the given class. Events are sorted by time; Days is
+// derived from the last event, and an hour whose day count or hour count
+// would not fit an int is rejected.
 func ReadTraceCSV(r io.Reader, class VMClass) (*SpotTrace, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 2
@@ -59,6 +43,11 @@ func ReadTraceCSV(r io.Reader, class VMClass) (*SpotTrace, error) {
 		if math.IsNaN(hour) || math.IsInf(hour, 0) || hour < 0 {
 			return nil, fmt.Errorf("market: trace csv line %d: hour %v out of range", line, hour)
 		}
+		// Compared as a float: converting an out-of-range float to int is
+		// implementation-defined.
+		if traceDays(hour)*24 >= math.MaxInt {
+			return nil, fmt.Errorf("market: trace csv line %d: hour %v past the last representable day", line, hour)
+		}
 		if !(price > 0) || math.IsInf(price, 0) {
 			return nil, fmt.Errorf("market: trace csv line %d: price %v must be positive", line, price)
 		}
@@ -69,9 +58,12 @@ func ReadTraceCSV(r io.Reader, class VMClass) (*SpotTrace, error) {
 	}
 	tr.Events.Sort()
 	last := tr.Events.Events[len(tr.Events.Events)-1].Hour
-	tr.Days = int(math.Ceil((last + 1e-9) / 24))
+	tr.Days = int(traceDays(last))
 	if tr.Days == 0 {
 		tr.Days = 1
 	}
 	return tr, nil
 }
+
+// traceDays is the number of whole days a trace ending at hour spans.
+func traceDays(hour float64) float64 { return math.Ceil((hour + 1e-9) / 24) }

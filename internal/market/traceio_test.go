@@ -2,6 +2,8 @@ package market
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -12,9 +14,11 @@ func TestTraceCSVRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := g.Trace(20)
+	// The rows cmd/spotsim -csv events prints.
 	var buf bytes.Buffer
-	if err := WriteTraceCSV(&buf, tr); err != nil {
-		t.Fatal(err)
+	buf.WriteString("hour,price\n")
+	for _, e := range tr.Events.Events {
+		fmt.Fprintf(&buf, "%.4f,%.4f\n", e.Hour, e.Value)
 	}
 	back, err := ReadTraceCSV(&buf, C1Medium)
 	if err != nil {
@@ -24,8 +28,9 @@ func TestTraceCSVRoundTrip(t *testing.T) {
 		t.Fatalf("event count %d != %d", len(back.Events.Events), len(tr.Events.Events))
 	}
 	for i, e := range tr.Events.Events {
-		if back.Events.Events[i] != e {
-			t.Fatalf("event %d: %v != %v", i, back.Events.Events[i], e)
+		got := back.Events.Events[i]
+		if math.Abs(got.Hour-e.Hour) > 5e-5 || math.Abs(got.Value-e.Value) > 5e-5 {
+			t.Fatalf("event %d: %v != %v beyond the 4-decimal rounding", i, got, e)
 		}
 	}
 	if back.Days != tr.Days && back.Days != tr.Days-1 {
@@ -70,17 +75,23 @@ func TestReadTraceCSVNoHeader(t *testing.T) {
 
 func TestReadTraceCSVErrors(t *testing.T) {
 	cases := []string{
-		"",                       // empty
-		"hour,price\n",           // header only
-		"hour,price\nx,0.06\n",   // bad hour
-		"hour,price\n1,zero\n",   // bad price
-		"hour,price\n-1,0.06\n",  // negative hour
-		"hour,price\n1,0\n",      // nonpositive price
-		"hour,price\n1,0.06,9\n", // wrong field count
+		"",                                       // empty
+		"hour,price\n",                           // header only
+		"hour,price\nx,0.06\n",                   // bad hour
+		"hour,price\n1,zero\n",                   // bad price
+		"hour,price\n-1,0.06\n",                  // negative hour
+		"hour,price\n1,0\n",                      // nonpositive price
+		"hour,price\n1,0.06,9\n",                 // wrong field count
+		"hour,price\n1e300,0.05\n",               // day count overflows int
+		"hour,price\n9223372036854775808,0.05\n", // 2^63: Days·24 overflows int
 	}
 	for i, in := range cases {
 		if _, err := ReadTraceCSV(strings.NewReader(in), C1Medium); err == nil {
 			t.Errorf("case %d: want error for %q", i, in)
 		}
+	}
+	_, err := ReadTraceCSV(strings.NewReader("hour,price\n1,0.05\n1e300,0.05\n"), C1Medium)
+	if err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Errorf("overflowing hour: error %v does not name line 3", err)
 	}
 }

@@ -42,9 +42,9 @@ func denseMIP(rng *rand.Rand, n int) *Problem {
 // overshoot bug: the deadline used to be checked only between nodes, so a
 // solve could not return before its current node LP ran to completion — on a
 // problem with an expensive root relaxation the overshoot was the entire
-// root LP. The limit is now threaded into every node LP as a context
-// deadline, so the recorded Elapsed must come in well under the duration of
-// the root relaxation alone. Wall-clock facts come exclusively from
+// root LP. The deadline is threaded into every node LP, so the recorded
+// Elapsed must come in well under the duration of the root relaxation
+// alone. Wall-clock facts come exclusively from
 // Stats.Elapsed (the solver's sanctioned clock).
 func TestTimeLimitBoundsNodeLP(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -63,7 +63,9 @@ func TestTimeLimitBoundsNodeLP(t *testing.T) {
 		t.Skipf("root LP too fast to measure overshoot robustly (%v)", rootElapsed)
 	}
 	limit := rootElapsed / 10
-	sol, err := SolveWithOptions(p, Options{TimeLimit: limit, Workers: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), limit)
+	defer cancel()
+	sol, err := SolveCtx(ctx, p, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

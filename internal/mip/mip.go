@@ -2,7 +2,7 @@
 // linear programs, built on the bounded-variable simplex in internal/lp. It
 // is the general-purpose optimisation engine behind the DRRP and SRRP
 // planning models: best-bound search with depth-first plunging, most-
-// fractional or pseudo-cost branching, and a rounding primal heuristic.
+// fractional branching, and a rounding primal heuristic.
 //
 // # Parallel search
 //
@@ -10,9 +10,8 @@
 // Workers = 1 preserves the deterministic serial search). Each worker owns
 // a private clone of the LP and its scratch buffers and pulls nodes from a
 // shared best-bound heap; incumbents are published atomically so pruning
-// stays globally correct, and pseudo-cost statistics are shared through
-// per-variable atomic accumulators. The proven optimal objective is
-// identical for every worker count.
+// stays globally correct. The proven optimal objective is identical for
+// every worker count.
 //
 // # Observability
 //
@@ -53,11 +52,10 @@ const (
 	StatusFeasible
 	// StatusLimit means the search stopped at a limit with no incumbent.
 	StatusLimit
-	// StatusTimeLimit means the wall-clock budget expired — Options.TimeLimit
-	// or the deadline of the context passed to SolveCtx, whichever fired.
-	// X/Obj hold the best incumbent when one exists, and Bound remains a
-	// valid lower bound (the lostBound machinery accounts every subtree the
-	// deadline cut off).
+	// StatusTimeLimit means the deadline of the context passed to SolveCtx
+	// expired. X/Obj hold the best incumbent when one exists, and Bound
+	// remains a valid lower bound (the lostBound machinery accounts every
+	// subtree the deadline cut off).
 	StatusTimeLimit
 	// StatusCanceled means the context passed to SolveCtx was canceled
 	// before the search finished. Incumbent and bound semantics are the same
@@ -86,20 +84,6 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", int8(s))
 }
 
-// BranchRule selects how the fractional branching variable is chosen.
-type BranchRule int8
-
-const (
-	// BranchMostFractional picks the integer variable whose relaxation value
-	// is closest to .5.
-	BranchMostFractional BranchRule = iota
-	// BranchPseudoCost picks the variable with the best observed
-	// degradation history, falling back to most-fractional early on.
-	BranchPseudoCost
-	// BranchFirstFractional picks the lowest-indexed fractional variable.
-	BranchFirstFractional
-)
-
 // Problem is a mixed integer linear program: an LP plus integrality marks.
 type Problem struct {
 	LP *lp.Problem
@@ -125,15 +109,6 @@ func (p *Problem) Validate() error {
 type Options struct {
 	// MaxNodes bounds explored nodes; ≤0 selects 200000.
 	MaxNodes int
-	// TimeLimit bounds wall time; 0 means none.
-	TimeLimit time.Duration
-	// RelGap is the relative optimality gap at which search stops;
-	// ≤0 selects 1e-9.
-	RelGap float64
-	// IntTol is the integrality tolerance; ≤0 selects 1e-6.
-	IntTol float64
-	// Rule selects the branching rule.
-	Rule BranchRule
 	// DisableHeuristic turns off the rounding primal heuristic.
 	DisableHeuristic bool
 	// NoWarmStart disables basis warm-starting of child node relaxations,
@@ -170,12 +145,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxNodes <= 0 {
 		o.MaxNodes = 200000
 	}
-	if o.RelGap <= 0 {
-		o.RelGap = num.RelGapTol
-	}
-	if o.IntTol <= 0 {
-		o.IntTol = num.IntTol
-	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -211,18 +180,12 @@ type Solution struct {
 type node struct {
 	lower, upper []float64 // variable bound overrides
 	bound        float64   // parent LP objective (lower bound)
-	depth        int
+	depth        int       // 0 at the root
 
 	// basis is the parent's optimal LP basis, used to warm-start this node's
 	// relaxation. A Basis is immutable, so siblings (and workers) share the
 	// same snapshot without copying; nil at the root forces a cold solve.
 	basis *lp.Basis
-
-	// branching provenance, used to update pseudo-costs when the node's own
-	// relaxation is solved. branchVar < 0 at the root.
-	branchVar  int
-	branchUp   bool
-	branchFrac float64 // fractional part of the parent value of branchVar
 }
 
 type nodeHeap []*node
@@ -249,14 +212,12 @@ func SolveWithOptions(p *Problem, opts Options) (*Solution, error) {
 }
 
 // SolveCtx minimises the MILP like SolveWithOptions, additionally observing
-// ctx. Cancellation is cooperative and unified with Options.TimeLimit: a
-// positive TimeLimit is installed as a deadline on the context handed to
-// every node LP, so a single long relaxation can overshoot the budget by at
-// most a few simplex pivots rather than by its whole runtime. An expired
-// deadline (either source) yields StatusTimeLimit, an explicit cancellation
-// StatusCanceled; both carry the best incumbent found and a valid bound. A
-// background context with TimeLimit == 0 is bit-identical to
-// SolveWithOptions.
+// ctx. Cancellation is cooperative: ctx is handed to every node LP, so a
+// single long relaxation can overshoot a deadline by at most a few simplex
+// pivots rather than by its whole runtime. An expired deadline yields
+// StatusTimeLimit, an explicit cancellation StatusCanceled; both carry the
+// best incumbent found and a valid bound. A background context is
+// bit-identical to SolveWithOptions.
 func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -264,34 +225,17 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 	return newBnB(ctx, p, opts.withDefaults()).run(), nil
 }
 
-// atomicFloat64 is a float64 with atomic load and add, used for the shared
-// pseudo-cost accumulators.
-type atomicFloat64 struct{ bits atomic.Uint64 }
-
-func (a *atomicFloat64) Load() float64 { return math.Float64frombits(a.bits.Load()) }
-
-func (a *atomicFloat64) Add(v float64) {
-	for {
-		old := a.bits.Load()
-		if a.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
 // bnb is the shared search state. The open heap, incumbent, limit flags and
 // per-worker accounting are guarded by mu; the incumbent objective is
-// mirrored in incBits for lock-free pruning reads, and the pseudo-cost
-// tables are per-variable atomic accumulators.
+// mirrored in incBits for lock-free pruning reads.
 type bnb struct {
 	p     *Problem
 	opts  Options
 	start time.Time
 
 	// ctx is observed by every worker between node pops and inside every
-	// node LP; cancel releases the deadline derived from Options.TimeLimit.
-	ctx    context.Context
-	cancel context.CancelFunc
+	// node LP.
+	ctx context.Context
 
 	baseLower, baseUpper []float64 // original variable bounds (nil-expanded)
 	rowAbs               []float64 // Σ_j |A_ij| per row: snap-tolerance scale
@@ -321,16 +265,13 @@ type bnb struct {
 	candHits      atomic.Int64
 	nnz           int // structural nonzeros, constant per solve
 
-	psUp, psDown   []atomicFloat64
-	psUpN, psDownN []atomic.Int64
-
 	mu          sync.Mutex
 	cond        *sync.Cond
 	open        nodeHeap
 	idle        int  // workers blocked on an empty frontier
 	stopped     bool // terminal: limit, unboundedness or exhaustion
 	limitHit    bool
-	timeHit     bool // wall-clock budget expired (TimeLimit or ctx deadline)
+	timeHit     bool // ctx deadline expired
 	canceled    bool // caller context canceled
 	unbounded   bool
 	lostBound   float64 // min bound over subtrees dropped at an LP iteration limit; +Inf if none
@@ -353,25 +294,13 @@ type bnb struct {
 
 func newBnB(ctx context.Context, p *Problem, opts Options) *bnb {
 	n := p.LP.NumVars()
-	b := &bnb{p: p, opts: opts, start: now(), incObj: math.Inf(1), lostBound: math.Inf(1)}
-	b.ctx = ctx
-	if opts.TimeLimit > 0 {
-		// Unify TimeLimit with the context: node LPs inherit the remaining
-		// wall-clock budget as a deadline, so the time-limit check no longer
-		// fires only between node pops (a single long LP used to blow far
-		// past TimeLimit).
-		b.ctx, b.cancel = context.WithDeadline(ctx, b.start.Add(opts.TimeLimit))
-	}
+	b := &bnb{p: p, opts: opts, ctx: ctx, start: now(), incObj: math.Inf(1), lostBound: math.Inf(1)}
 	// Resolve the LP options exactly once so a caller-supplied Tol or
 	// MaxIter reaches every node identically on both the warm and the cold
 	// dispatch paths, instead of being re-defaulted per node.
 	b.lpOpts = opts.LP.Resolved(p.LP.NumRows(), n)
 	b.cond = sync.NewCond(&b.mu)
 	b.incBits.Store(math.Float64bits(math.Inf(1)))
-	b.psUp = make([]atomicFloat64, n)
-	b.psDown = make([]atomicFloat64, n)
-	b.psUpN = make([]atomic.Int64, n)
-	b.psDownN = make([]atomic.Int64, n)
 	b.baseLower = make([]float64, n)
 	b.baseUpper = make([]float64, n)
 	for j := range b.baseUpper {
@@ -397,15 +326,11 @@ func newBnB(ctx context.Context, p *Problem, opts Options) *bnb {
 }
 
 func (b *bnb) run() *Solution {
-	if b.cancel != nil {
-		defer b.cancel()
-	}
 	root := &node{
-		lower:     append([]float64(nil), b.baseLower...),
-		upper:     append([]float64(nil), b.baseUpper...),
-		bound:     math.Inf(-1),
-		branchVar: -1,
-		basis:     b.opts.RootBasis, // nil → cold root, as before
+		lower: append([]float64(nil), b.baseLower...),
+		upper: append([]float64(nil), b.baseUpper...),
+		bound: math.Inf(-1),
+		basis: b.opts.RootBasis, // nil → cold root, as before
 	}
 	heap.Init(&b.open)
 	heap.Push(&b.open, root)
@@ -466,7 +391,7 @@ func (b *bnb) next(id int) *node {
 		// Best-bound order: if the cheapest open node cannot beat the
 		// incumbent, neither can any other — the whole frontier is proven
 		// dominated and can be dropped.
-		if len(b.open) > 0 && b.hasInc && !improves(b.open[0].bound, b.incObj, b.opts.RelGap) {
+		if len(b.open) > 0 && b.hasInc && !improves(b.open[0].bound, b.incObj) {
 			b.open = b.open[:0]
 		}
 		if len(b.open) > 0 {
@@ -491,19 +416,14 @@ func (b *bnb) stopLocked() {
 	b.cond.Broadcast()
 }
 
-func (b *bnb) overTime() bool {
-	return b.opts.TimeLimit > 0 && since(b.start) > b.opts.TimeLimit
-}
-
 // checkStopLocked classifies and flags the applicable stop cause — node
-// limit, wall-clock budget (Options.TimeLimit or the caller context's
-// deadline), or explicit cancellation — and terminates the search when one
-// fired. Callers must hold mu.
+// limit, the caller context's deadline, or explicit cancellation — and
+// terminates the search when one fired. Callers must hold mu.
 func (b *bnb) checkStopLocked() bool {
 	switch err := b.ctx.Err(); {
 	case b.nodes >= b.opts.MaxNodes:
 		b.limitHit = true
-	case b.overTime() || err == context.DeadlineExceeded:
+	case err == context.DeadlineExceeded:
 		b.timeHit = true
 	case err != nil:
 		b.canceled = true
@@ -514,8 +434,8 @@ func (b *bnb) checkStopLocked() bool {
 	return true
 }
 
-// reserve accounts one node about to be solved, enforcing the node and time
-// limits exactly (the counter never exceeds MaxNodes, for any worker count),
+// reserve accounts one node about to be solved, enforcing the node limit
+// exactly (the counter never exceeds MaxNodes, for any worker count),
 // and refreshes the worker's in-flight bound so the global bound tightens as
 // a plunge dives (each dived node's bound is valid for its whole subtree).
 func (b *bnb) reserve(id int, nd *node) bool {
@@ -561,7 +481,7 @@ func (b *bnb) recordLost(bound float64) {
 // stops the search (every other worker would observe the same context).
 func (b *bnb) recordLostCtx(bound float64) {
 	b.mu.Lock()
-	if b.overTime() || b.ctx.Err() == context.DeadlineExceeded {
+	if b.ctx.Err() == context.DeadlineExceeded {
 		b.timeHit = true
 	} else {
 		b.canceled = true
@@ -621,7 +541,7 @@ func (b *bnb) finish() *Solution {
 	switch {
 	case b.unbounded:
 		sol.Status = StatusUnbounded
-	case b.hasInc && (!stopped || !improves(bound, b.incObj, b.opts.RelGap)):
+	case b.hasInc && (!stopped || !improves(bound, b.incObj)):
 		sol.Status = StatusOptimal
 		sol.X = b.incumbent
 		sol.Obj = b.incObj
@@ -659,16 +579,17 @@ func (b *bnb) finish() *Solution {
 	return sol
 }
 
-// improves reports whether bound is meaningfully below obj.
-func improves(bound, obj, relGap float64) bool {
-	return bound < obj-relGap*math.Max(1, math.Abs(obj))-num.DriftTol
+// improves reports whether bound is below obj by more than the relative
+// optimality gap num.RelGapTol.
+func improves(bound, obj float64) bool {
+	return bound < obj-num.RelGapTol*math.Max(1, math.Abs(obj))-num.DriftTol
 }
 
 // branchPoint returns the down-branch ceiling fl (children are x ≤ fl and
 // x ≥ fl+1) and the fractional part of xj measured consistently against
 // that same fl, clamped to [0,1]. A value within tol just below an integer
-// therefore yields fpart ≈ 0, never a near-1 artefact that would pollute
-// the pseudo-cost averages.
+// therefore yields fpart ≈ 0, never a near-1 artefact, so the plunge dives
+// toward the nearer integer.
 func branchPoint(xj, tol float64) (fl, fpart float64) {
 	fl = math.Floor(xj + tol)
 	fpart = xj - fl
@@ -730,7 +651,7 @@ func (b *bnb) processNode(id int, work *lp.Problem, nd *node) {
 		case lp.StatusInfeasible:
 			return
 		case lp.StatusUnbounded:
-			if nd.branchVar < 0 {
+			if nd.depth == 0 {
 				// Unbounded root relaxation: the MILP itself is unbounded.
 				b.markUnbounded()
 			}
@@ -752,25 +673,12 @@ func (b *bnb) processNode(id int, work *lp.Problem, nd *node) {
 			b.recordLostCtx(nd.bound)
 			return
 		}
-		if nd.branchVar < 0 {
+		if nd.depth == 0 {
 			// Root relaxation solved to optimality: publish its basis so the
 			// caller can warm-start sibling solves over the same structure.
 			b.rootBasis = sol.Basis
 		}
-		if nd.branchVar >= 0 && !math.IsInf(nd.bound, -1) {
-			// Pseudo-cost update: per-unit objective degradation of the
-			// branch that created this node.
-			degr := math.Max(0, sol.Obj-nd.bound)
-			j := nd.branchVar
-			if nd.branchUp {
-				b.psUp[j].Add(degr / math.Max(1-nd.branchFrac, b.opts.IntTol))
-				b.psUpN[j].Add(1)
-			} else {
-				b.psDown[j].Add(degr / math.Max(nd.branchFrac, b.opts.IntTol))
-				b.psDownN[j].Add(1)
-			}
-		}
-		if inc, ok := b.currentIncumbent(); ok && !improves(sol.Obj, inc, b.opts.RelGap) {
+		if inc, ok := b.currentIncumbent(); ok && !improves(sol.Obj, inc) {
 			return // dominated
 		}
 		frac := b.pickBranch(sol.X)
@@ -782,19 +690,17 @@ func (b *bnb) processNode(id int, work *lp.Problem, nd *node) {
 		if !b.opts.DisableHeuristic {
 			b.tryRounding(sol.X)
 		}
-		fl, fpart := branchPoint(sol.X[frac], b.opts.IntTol)
+		fl, fpart := branchPoint(sol.X[frac], num.IntTol)
 		down := &node{
 			lower: append([]float64(nil), nd.lower...),
 			upper: append([]float64(nil), nd.upper...),
 			bound: sol.Obj, depth: nd.depth + 1, basis: sol.Basis,
-			branchVar: frac, branchUp: false, branchFrac: fpart,
 		}
 		down.upper[frac] = fl
 		up := &node{
 			lower: append([]float64(nil), nd.lower...),
 			upper: append([]float64(nil), nd.upper...),
 			bound: sol.Obj, depth: nd.depth + 1, basis: sol.Basis,
-			branchVar: frac, branchUp: true, branchFrac: fpart,
 		}
 		up.lower[frac] = fl + 1
 
@@ -809,48 +715,24 @@ func (b *bnb) processNode(id int, work *lp.Problem, nd *node) {
 	}
 }
 
-// pickBranch returns the index of the integer variable to branch on, or -1
-// if x is integer feasible.
+// pickBranch returns the most fractional integer variable of x — the one
+// whose relaxation value is closest to .5 — or -1 if x is integer feasible.
 func (b *bnb) pickBranch(x []float64) int {
-	tol := b.opts.IntTol
-	best, bestScore := -1, -1.0
+	best, bestDist := -1, -1.0
 	for j, isInt := range b.p.Integer {
 		if !isInt {
 			continue
 		}
 		f := x[j] - math.Floor(x[j])
 		dist := math.Min(f, 1-f)
-		if dist <= tol {
+		if dist <= num.IntTol {
 			continue
 		}
-		switch b.opts.Rule {
-		case BranchFirstFractional:
-			return j
-		case BranchPseudoCost:
-			un, dn := b.psUpN[j].Load(), b.psDownN[j].Load()
-			up := avg(b.psUp[j].Load(), un)
-			down := avg(b.psDown[j].Load(), dn)
-			score := math.Max(up*(1-f), num.PseudoCostFloor) * math.Max(down*f, num.PseudoCostFloor)
-			if un+dn == 0 {
-				score = dist // uninitialised: fall back to fractionality
-			}
-			if score > bestScore {
-				best, bestScore = j, score
-			}
-		default: // most fractional
-			if dist > bestScore {
-				best, bestScore = j, dist
-			}
+		if dist > bestDist {
+			best, bestDist = j, dist
 		}
 	}
 	return best
-}
-
-func avg(sum float64, n int64) float64 {
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 // offerIncumbent snaps the integer variables of an integral-within-tolerance
@@ -937,7 +819,7 @@ func (b *bnb) publish(x []float64, obj float64) {
 func (b *bnb) feasible(x []float64, scaled bool) bool {
 	btol := num.FeasTol
 	if scaled {
-		btol = b.opts.IntTol + num.SnapTol
+		btol = num.IntTol + num.SnapTol
 	}
 	for j := range x {
 		if x[j] < b.baseLower[j]-btol || x[j] > b.baseUpper[j]+btol {
@@ -948,7 +830,7 @@ func (b *bnb) feasible(x []float64, scaled bool) bool {
 		v := b.p.LP.RowDot(i, x)
 		rtol := num.FeasTol
 		if scaled {
-			rtol += b.opts.IntTol * b.rowAbs[i]
+			rtol += num.IntTol * b.rowAbs[i]
 		}
 		switch b.p.LP.Rel[i] {
 		case lp.LE:

@@ -1,6 +1,7 @@
 package mip
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -234,53 +235,6 @@ func TestRandomBinaryVsBruteForce(t *testing.T) {
 	}
 }
 
-func TestBranchingRulesAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 12; trial++ {
-		n := 6
-		p := &Problem{
-			LP: &lp.Problem{
-				C:     make([]float64, n),
-				SA:    make([]lp.SparseRow, 2),
-				Rel:   []lp.Rel{lp.LE, lp.GE},
-				B:     []float64{0, 0},
-				Upper: make([]float64, n),
-			},
-			Integer: intSlice(n, true),
-		}
-		for j := 0; j < n; j++ {
-			p.LP.C[j] = rng.NormFloat64() * 3
-			p.LP.Upper[j] = float64(1 + rng.Intn(3))
-		}
-		for i := 0; i < 2; i++ {
-			row := make([]float64, n)
-			s := 0.0
-			for j := range row {
-				row[j] = rng.Float64() * 2
-				s += row[j]
-			}
-			p.LP.SA[i] = denseRow(row)
-			p.LP.B[i] = s
-		}
-		p.LP.Rel[1] = lp.LE
-		p.LP.B[1] *= 1.5
-
-		var objs []float64
-		for _, rule := range []BranchRule{BranchMostFractional, BranchPseudoCost, BranchFirstFractional} {
-			sol, err := SolveWithOptions(p, Options{Rule: rule})
-			if err != nil || sol.Status != StatusOptimal {
-				t.Fatalf("trial %d rule %d: %v %v", trial, rule, sol, err)
-			}
-			objs = append(objs, sol.Obj)
-		}
-		for i := 1; i < len(objs); i++ {
-			if math.Abs(objs[i]-objs[0]) > 1e-6 {
-				t.Fatalf("trial %d: rules disagree: %v", trial, objs)
-			}
-		}
-	}
-}
-
 func TestNodeLimit(t *testing.T) {
 	// Force an early stop and check the status reflects it.
 	rng := rand.New(rand.NewSource(5))
@@ -359,7 +313,7 @@ func BenchmarkKnapsack20(b *testing.B) {
 }
 
 func TestTimeLimit(t *testing.T) {
-	// A zero-headroom time limit must stop the search without claiming
+	// A zero-headroom deadline must stop the search without claiming
 	// optimality on a hard instance.
 	rng := rand.New(rand.NewSource(23))
 	n := 26
@@ -385,7 +339,9 @@ func TestTimeLimit(t *testing.T) {
 	p.LP.SA = lp.DenseRows(rows)
 	p.LP.B[0] = s / 2
 	p.LP.B[1] = 0.1
-	sol, err := SolveWithOptions(p, Options{TimeLimit: 1}) // 1ns
+	ctx, cancel := context.WithTimeout(context.Background(), 1) // 1ns
+	defer cancel()
+	sol, err := SolveCtx(ctx, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,12 @@
 // Package num centralises the numerical tolerances used across the solver
 // stack (internal/lp, internal/mip, internal/core) and provides the approved
-// tolerance-comparison helpers.
+// tolerance-comparison helper.
 //
 // Every constant documents the invariant it protects. Code in the solver
 // packages must reference these named constants instead of repeating the
 // literals; the rentlint/tolconst analyzer enforces this, and
 // rentlint/floatcmp enforces that float comparisons either go through the
-// helpers below or carry an explicit justification.
+// helper below or carry an explicit justification.
 package num
 
 import "math"
@@ -62,16 +62,16 @@ const (
 	// to the consistent side within the same tolerance.
 	DualFeasTol = 1e-7
 
-	// IntTol is the default integrality tolerance (mip.Options.IntTol): a
+	// IntTol is the integrality tolerance of branch-and-bound: a
 	// relaxation value within IntTol of an integer counts as integral.
-	// Branching and pseudo-cost fractions are measured against the same
-	// constant so the branch dichotomy x ≤ ⌊v⌋ ∨ x ≥ ⌊v⌋+1 stays exact.
+	// Branching fractions are measured against the same constant so the
+	// branch dichotomy x ≤ ⌊v⌋ ∨ x ≥ ⌊v⌋+1 stays exact.
 	IntTol = 1e-6
 
-	// RelGapTol is the default relative optimality gap (mip.Options.RelGap)
-	// at which branch-and-bound declares the incumbent proven optimal. It
-	// must dominate LPTol, otherwise node relaxations cannot certify the
-	// gap they are asked to close.
+	// RelGapTol is the relative optimality gap at which branch-and-bound
+	// declares the incumbent proven optimal. It must dominate LPTol,
+	// otherwise node relaxations cannot certify the gap they are asked to
+	// close.
 	RelGapTol = 1e-9
 
 	// DriftTol bounds accumulated floating-point drift on quantities that
@@ -82,17 +82,6 @@ const (
 	// "identical proven optimum for every worker count" guarantee hold: no
 	// worker can publish a tie as an improvement.
 	DriftTol = 1e-12
-
-	// PseudoCostFloor floors the per-branch pseudo-cost estimates so the
-	// product score of a variable with one zero-degradation branch does not
-	// collapse to zero and hide the other branch's information.
-	PseudoCostFloor = 1e-6
-
-	// CutViolTol is the minimum violation at which an (l,S) valid
-	// inequality is added during cut-and-branch separation. Cuts below it
-	// would be numerical noise: they could cycle the separation loop
-	// without tightening the root bound.
-	CutViolTol = 1e-7
 
 	// DemandTol is the shortage threshold of the execution simulator: a
 	// demand shortfall below it is rounding noise from plan extraction
@@ -132,15 +121,5 @@ const (
 	CutDedupTol = 1e-9
 )
 
-// Eq reports whether a and b are equal within the absolute tolerance tol.
-// It is the approved replacement for a==b on floats.
-func Eq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
-
 // Zero reports whether x is within tol of zero.
 func Zero(x, tol float64) bool { return math.Abs(x) <= tol }
-
-// Leq reports whether a ≤ b within the absolute tolerance tol.
-func Leq(a, b, tol float64) bool { return a <= b+tol }
-
-// Geq reports whether a ≥ b within the absolute tolerance tol.
-func Geq(a, b, tol float64) bool { return a >= b-tol }

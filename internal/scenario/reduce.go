@@ -105,34 +105,6 @@ func (t *Tree) SampleFan(n int, rng *rand.Rand) (*Fan, error) {
 	return f, nil
 }
 
-// FanFromTrace slices a historical hourly price trace into consecutive
-// non-overlapping windows of stages+1 prices, each an equally-weighted
-// empirical scenario. Trailing hours that do not fill a window are
-// dropped.
-func FanFromTrace(hourly []float64, stages int) (*Fan, error) {
-	if stages <= 0 {
-		return nil, errors.New("scenario: stages must be positive")
-	}
-	T := stages + 1
-	n := len(hourly) / T
-	if n == 0 {
-		return nil, fmt.Errorf("scenario: trace of %d hours shorter than one %d-stage window", len(hourly), stages)
-	}
-	f := &Fan{
-		Paths: make([][]float64, n),
-		Probs: make([]float64, n),
-	}
-	w := 1 / float64(n)
-	for i := 0; i < n; i++ {
-		f.Paths[i] = append([]float64(nil), hourly[i*T:(i+1)*T]...)
-		f.Probs[i] = w
-	}
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // pathDist is the L1 distance between two price paths — the ground metric
 // of the Kantorovich transport distance used by Reduce. It dominates the
 // optimal-value difference of any rental plan whose per-stage purchase

@@ -53,26 +53,6 @@ func TestFanValidate(t *testing.T) {
 	}
 }
 
-func TestFanFromTrace(t *testing.T) {
-	hourly := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	f, err := FanFromTrace(hourly, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Len() != 3 || f.Stages() != 3 {
-		t.Fatalf("fan %dx%d, want 3x3", f.Len(), f.Stages())
-	}
-	if f.Paths[1][0] != 4 || f.Paths[2][2] != 9 {
-		t.Fatalf("window slicing wrong: %v", f.Paths)
-	}
-	if _, err := FanFromTrace(hourly[:2], 2); err == nil {
-		t.Fatal("short trace accepted")
-	}
-	if _, err := FanFromTrace(hourly, 0); err == nil {
-		t.Fatal("zero stages accepted")
-	}
-}
-
 func TestSampleFanDeterministic(t *testing.T) {
 	tr := twoStageTree()
 	if err := tr.Validate(); err != nil {

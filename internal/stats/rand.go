@@ -133,31 +133,6 @@ func (d Discrete) TotalMass() float64 {
 	return s
 }
 
-// CDF returns P(X ≤ x).
-func (d Discrete) CDF(x float64) float64 {
-	s := 0.0
-	for i, v := range d.Values {
-		if v > x {
-			break
-		}
-		s += d.Probs[i]
-	}
-	return s
-}
-
-// Sample draws one value.
-func (d Discrete) Sample(rng *rand.Rand) float64 {
-	u := rng.Float64()
-	acc := 0.0
-	for i, p := range d.Probs {
-		acc += p
-		if u <= acc {
-			return d.Values[i]
-		}
-	}
-	return d.Values[len(d.Values)-1]
-}
-
 // Truncate returns the sub-distribution with values ≤ cut (probabilities
 // not renormalised) and the removed tail mass. This is the first half of the
 // paper's bid-dependent dynamic sampling step (Eq. 10).

@@ -226,11 +226,6 @@ func NewHistogram(xs []float64, bins int) (*Histogram, error) {
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 { return h.Lo + (float64(i)+0.5)*h.Width }
 
-// Density returns the estimated probability density in bin i.
-func (h *Histogram) Density(i int) float64 {
-	return float64(h.Counts[i]) / (float64(h.N) * h.Width)
-}
-
 // KDE evaluates a Gaussian kernel density estimate of xs at each point in
 // at, using Silverman's rule-of-thumb bandwidth when bw ≤ 0.
 func KDE(xs []float64, at []float64, bw float64) []float64 {

@@ -434,97 +434,3 @@ func meanOf(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// LjungBox computes the Ljung–Box portmanteau statistic
-// Q = n(n+2) Σ_{k=1..h} ρ̂_k²/(n−k) for the first h autocorrelations and
-// the χ²(h−fitted) p-value. It is the standard Box–Jenkins residual
-// diagnostic: a small p-value rejects the hypothesis that the series is
-// white noise. fitted is the number of estimated ARMA parameters (0 when
-// testing a raw series).
-func LjungBox(xs []float64, h, fitted int) (stat, pValue float64, err error) {
-	n := len(xs)
-	if h < 1 {
-		return 0, 0, errors.New("timeseries: LjungBox needs h >= 1")
-	}
-	if h >= n {
-		return 0, 0, errors.New("timeseries: LjungBox needs h < n")
-	}
-	df := h - fitted
-	if df < 1 {
-		return 0, 0, errors.New("timeseries: LjungBox needs h > fitted parameters")
-	}
-	acf, err := ACF(xs, h)
-	if err != nil {
-		return 0, 0, err
-	}
-	q := 0.0
-	for k := 1; k <= h; k++ {
-		q += acf[k] * acf[k] / float64(n-k)
-	}
-	q *= float64(n) * float64(n+2)
-	return q, chiSquareSF(q, df), nil
-}
-
-// chiSquareSF is the χ²(k) survival function P(X > x), via the regularised
-// upper incomplete gamma function computed with a series/continued-fraction
-// split (Numerical-Recipes style).
-func chiSquareSF(x float64, k int) float64 {
-	if x <= 0 {
-		return 1
-	}
-	a := float64(k) / 2
-	xx := x / 2
-	if xx < a+1 {
-		// Lower series: P(a,x) then SF = 1 − P.
-		return 1 - gammaPSeries(a, xx)
-	}
-	return gammaQContinued(a, xx)
-}
-
-func gammaPSeries(a, x float64) float64 {
-	const itmax = 500
-	const eps = 1e-14
-	ap := a
-	sum := 1 / a
-	del := sum
-	for i := 0; i < itmax; i++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*eps {
-			break
-		}
-	}
-	logGammaA, _ := math.Lgamma(a)
-	return sum * math.Exp(-x+a*math.Log(x)-logGammaA)
-}
-
-func gammaQContinued(a, x float64) float64 {
-	const itmax = 500
-	const eps = 1e-14
-	const fpmin = 1e-300
-	b := x + 1 - a
-	c := 1 / fpmin
-	d := 1 / b
-	h := d
-	for i := 1; i <= itmax; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < fpmin {
-			d = fpmin
-		}
-		c = b + an/c
-		if math.Abs(c) < fpmin {
-			c = fpmin
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < eps {
-			break
-		}
-	}
-	logGammaA, _ := math.Lgamma(a)
-	return math.Exp(-x+a*math.Log(x)-logGammaA) * h
-}

@@ -272,77 +272,6 @@ func TestConfidenceBand(t *testing.T) {
 	}
 }
 
-func TestLjungBoxWhiteNoiseAccepted(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	q, p, err := LjungBox(xs, 20, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q < 0 {
-		t.Fatalf("negative statistic %v", q)
-	}
-	if p < 0.01 {
-		t.Fatalf("white noise rejected: Q=%v p=%v", q, p)
-	}
-}
-
-func TestLjungBoxAR1Rejected(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	xs := make([]float64, 1000)
-	for i := 1; i < len(xs); i++ {
-		xs[i] = 0.6*xs[i-1] + rng.NormFloat64()
-	}
-	_, p, err := LjungBox(xs, 20, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p > 1e-6 {
-		t.Fatalf("AR(1) not rejected as white noise: p=%v", p)
-	}
-}
-
-func TestLjungBoxErrors(t *testing.T) {
-	xs := make([]float64, 50)
-	for i := range xs {
-		xs[i] = float64(i % 3)
-	}
-	if _, _, err := LjungBox(xs, 0, 0); err == nil {
-		t.Fatal("want h>=1 error")
-	}
-	if _, _, err := LjungBox(xs, 50, 0); err == nil {
-		t.Fatal("want h<n error")
-	}
-	if _, _, err := LjungBox(xs, 3, 3); err == nil {
-		t.Fatal("want df error")
-	}
-}
-
-func TestChiSquareSFAgainstKnownValues(t *testing.T) {
-	// χ²(2): SF(x) = exp(−x/2).
-	for _, x := range []float64{0.5, 1, 3, 10} {
-		got := chiSquareSF(x, 2)
-		want := math.Exp(-x / 2)
-		if math.Abs(got-want) > 1e-10 {
-			t.Fatalf("SF(%v;2) = %v, want %v", x, got, want)
-		}
-	}
-	// χ²(1): SF(x) = 2(1−Φ(√x)) = erfc(√(x/2)).
-	for _, x := range []float64{0.5, 1, 4} {
-		got := chiSquareSF(x, 1)
-		want := math.Erfc(math.Sqrt(x / 2))
-		if math.Abs(got-want) > 1e-10 {
-			t.Fatalf("SF(%v;1) = %v, want %v", x, got, want)
-		}
-	}
-	if chiSquareSF(-1, 3) != 1 {
-		t.Fatal("SF of negative x should be 1")
-	}
-}
-
 func TestEventSeriesValues(t *testing.T) {
 	es := &EventSeries{Events: []Event{{Hour: 1, Value: 5}, {Hour: 2, Value: 7}}}
 	vs := es.Values()
