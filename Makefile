@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt vet lint test-analysis race race-fleet perfbench-smoke check bench bench-sparse bench-dual bench-benders serve-test bench-serve bench-fleet fuzz-lp fuzz-dp fuzz-fleet fuzz-nested
+.PHONY: build test fmt vet lint test-analysis race race-fleet perfbench-smoke check bench bench-sparse bench-dual bench-benders serve-test bench-serve bench-fleet fuzz-lp fuzz-dp fuzz-fleet fuzz-nested fuzz-srrp-cap
 
 build:
 	$(GO) build ./...
@@ -108,6 +108,19 @@ fuzz-fleet:
 # every later go test run.
 fuzz-nested:
 	$(GO) test -run '^$$' -fuzz '^FuzzNestedMatchesExtensive$$' -fuzztime 20s ./internal/benders
+
+# Fuzz capacitated SRRP against its MILP for a fixed budget: on every
+# decoded instance (trees of 1 to 4 stages and 1 to 3 children per vertex,
+# at most 40 vertices; capacities slack, tight, mixed or 0 at a stage)
+# whose serial cold branch-and-bound reference is proven optimal or
+# infeasible, SolveSRRP must reach the same verdict and cost to 1e-7
+# relative; a plan the tree DP answered must fit every capacity exactly
+# and balance at every vertex, and where a capacity binds at the
+# uncapacitated optimum the plan must equal the MILP path's bit for bit.
+# A failing input is written to internal/core/testdata/fuzz and replays in
+# every later go test run.
+fuzz-srrp-cap:
+	$(GO) test -run '^$$' -fuzz '^FuzzCapacitatedSRRPMatchesMILP$$' -fuzztime 20s ./internal/core
 
 # The rentpland daemon stack under the race detector: handler and
 # reentrancy suites (bit-identical concurrent-vs-serial objectives, zero

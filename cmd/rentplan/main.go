@@ -97,6 +97,10 @@ func main() {
 		}()
 	}
 
+	solver := mip.Options{Workers: *workers}
+	if *verbose {
+		solver.Progress = printProgress
+	}
 	if *specFile != "" {
 		f, err := os.Open(*specFile)
 		if err != nil {
@@ -107,7 +111,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		res, err := ins.Solve()
+		res, err := ins.Solve(solver)
 		if err != nil {
 			fatal(err)
 		}
@@ -118,10 +122,7 @@ func main() {
 	par := core.DefaultParams(market.VMClass(*class))
 	par.Phi = *phi
 	par.Epsilon = *epsilon
-	par.Solver.Workers = *workers
-	if *verbose {
-		par.Solver.Progress = printProgress
-	}
+	par.Solver = solver
 	if _, err := par.OnDemandRate(); err != nil {
 		fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -209,10 +210,15 @@ func TestSolveSRRPMatchesMILP(t *testing.T) {
 	}
 	par2 := par
 	par2.ConsumptionRate = 1
-	par2.Capacity = constants(3, 1e6) // loose: forces MILP, same optimum
-	milp, err := SolveSRRP(par2, tr, dem)
+	par2.Capacity = constants(3, 1e6) // loose: same optimum
+	// SolveSRRP answers a loose capacity from the DP, so go to the MILP
+	// path directly.
+	milp, err := solveSRRPMILP(context.Background(), par2, tr, dem)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if milp.Stats == nil {
+		t.Fatal("MILP path ran no branch-and-bound")
 	}
 	if math.Abs(dp.ExpCost-milp.ExpCost) > 1e-5 {
 		t.Fatalf("DP %v != MILP %v", dp.ExpCost, milp.ExpCost)

@@ -5,7 +5,9 @@
 // spot-price traces (Sec. V). Uncapacitated instances — the configuration
 // the paper evaluates — are solved exactly by the dynamic programs in
 // internal/lotsize; instances with an active bottleneck constraint fall
-// back to branch-and-bound MILP via internal/mip.
+// back to branch-and-bound MILP via internal/mip, except where an exact DP
+// still applies: constant-capacity DRRP, and SRRP whose capacities the
+// uncapacitated optimum already fits.
 package core
 
 import (
@@ -33,7 +35,9 @@ type Params struct {
 	ConsumptionRate float64
 	// Capacity is Q(i,t), the per-slot bottleneck availability; nil
 	// disables the constraint. When set with ConsumptionRate > 0, planning
-	// uses the MILP path.
+	// uses the MILP path unless an exact DP applies: the Florian–Klein DP
+	// for a constant DRRP capacity, or the tree DP for SRRP capacities its
+	// uncapacitated optimum fits (see SolveDRRP and SolveSRRP).
 	Capacity []float64
 	// Solver forwards branch-and-bound options to every MILP solve these
 	// models perform (DRRP/SRRP capacitated paths, CVaR).

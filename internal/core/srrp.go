@@ -46,7 +46,11 @@ type StochasticPlan struct {
 // SolveSRRP computes an optimal stochastic rental plan on the given
 // scenario tree. dem[s] is the (known) demand of stage s, s = 0 being the
 // current slot; len(dem) must equal tree.Stages(). Uncapacitated instances
-// use the exact tree dynamic program; capacitated ones the MILP path.
+// use the exact tree dynamic program. A capacitated instance first solves
+// that same DP with its capacities dropped: when the DP's plan fits every
+// bottleneck row (15) exactly, it is feasible for the MILP and no feasible
+// plan costs less, so it is returned as the optimum. Only an instance whose
+// capacity binds at the DP optimum runs the MILP path.
 func SolveSRRP(par Params, tree *scenario.Tree, dem []float64) (*StochasticPlan, error) {
 	return SolveSRRPCtx(context.Background(), par, tree, dem)
 }
@@ -55,7 +59,8 @@ func SolveSRRP(par Params, tree *scenario.Tree, dem []float64) (*StochasticPlan,
 // branch-and-bound and accepts a deadline-expired incumbent as a degraded
 // plan (StochasticPlan.Degraded/Gap); the exact tree DP is fast enough that
 // only an upfront cancellation check applies. A background context is
-// bit-identical to SolveSRRP.
+// bit-identical to SolveSRRP. A plan the DP answered carries no Stats and
+// no RootBasis, whether or not the instance is capacitated.
 func SolveSRRPCtx(ctx context.Context, par Params, tree *scenario.Tree, dem []float64) (*StochasticPlan, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: SRRP canceled: %w", err)
@@ -77,9 +82,34 @@ func SolveSRRPCtx(ctx context.Context, par Params, tree *scenario.Tree, dem []fl
 			return nil, fmt.Errorf("core: demand %v at stage %d not a finite non-negative number", d, s)
 		}
 	}
-	if par.Capacitated() {
-		return solveSRRPMILP(ctx, par, tree, dem)
+	if !par.Capacitated() {
+		return solveSRRPTree(par, tree, dem)
 	}
+	if len(par.Capacity) < tree.Stages() {
+		return nil, fmt.Errorf("core: capacity series shorter than stages (%d < %d)", len(par.Capacity), tree.Stages())
+	}
+	if p, err := solveSRRPTree(par, tree, dem); err == nil && fitsCapacity(par, tree, p.Alpha) {
+		return p, nil
+	}
+	return solveSRRPMILP(ctx, par, tree, dem)
+}
+
+// fitsCapacity reports whether every vertex's production satisfies its
+// stage's bottleneck row (15), ConsumptionRate·α_v ≤ Capacity[stage(v)],
+// exactly: no tolerance, so a plan that fits is feasible for the MILP.
+// The capacity series must cover every stage of the tree.
+func fitsCapacity(par Params, tree *scenario.Tree, alpha []float64) bool {
+	for v, a := range alpha {
+		if par.ConsumptionRate*a > par.Capacity[tree.Stage[v]] {
+			return false
+		}
+	}
+	return true
+}
+
+// solveSRRPTree solves the deterministic equivalent without its bottleneck
+// rows by the exact tree dynamic program.
+func solveSRRPTree(par Params, tree *scenario.Tree, dem []float64) (*StochasticPlan, error) {
 	n := tree.N()
 	tp := &lotsize.TreeProblem{
 		Parent:           tree.Parent,

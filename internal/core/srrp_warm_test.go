@@ -14,7 +14,10 @@ import (
 func TestSRRPRootBasisReuse(t *testing.T) {
 	par := DefaultParams(market.C1Medium)
 	par.ConsumptionRate = 1
-	par.Capacity = constants(4, 0.8) // binding enough to stay on the MILP path
+	// The uncapacitated optimum produces 0.8 at a stage-1 vertex (stage 1's
+	// demand is 0.5), so capping stage 1 at 0.65 binds and keeps the solve
+	// on the MILP path; 0.8 everywhere would fit the DP's plan.
+	par.Capacity = []float64{0.8, 0.65, 0.8, 0.8}
 	par.Solver.Workers = 1
 	tr := srrpTree(t, 3, 0.060)
 	dem := []float64{0.4, 0.5, 0.3, 0.6}

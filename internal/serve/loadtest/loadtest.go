@@ -38,7 +38,8 @@ type Config struct {
 	// Budget is the daemon's default per-request solve budget.
 	Budget time.Duration
 	// Capacitated adds a bottleneck constraint to the srrp cohort warm-up
-	// requests, forcing the MILP path and exercising shared root bases.
+	// requests that binds at the uncapacitated optimum, forcing the MILP
+	// path and exercising shared root bases.
 	Capacitated bool
 	// Seed fixes the synthetic market and demand draws.
 	Seed int64
@@ -269,7 +270,9 @@ func (w *tenantWorld) planRequest(model string, cfg Config) *serve.PlanRequest {
 		// the cohort so the tree AND the root basis are reusable.
 		req.Demand = []float64{2, 3, 2, 4}[:stages+1]
 		if cfg.Capacitated {
-			req.Capacity = []float64{4, 4, 4, 4}[:stages+1]
+			// Stage 1 is capped below its demand of 3, so the tree DP's
+			// plan cannot fit and every join runs branch-and-bound.
+			req.Capacity = []float64{4, 2.5, 4, 4}[:stages+1]
 			req.ConsumptionRate = 1
 		}
 	} else {

@@ -43,6 +43,8 @@ func TestServeLoadSmoke(t *testing.T) {
 }
 
 // TestServeLoadCapacitated exercises the MILP path and shared root bases.
+// The daemon reports a warm root only for a solve that ran branch-and-bound,
+// so a warm root also shows that the capacitated joins reached the MILP.
 func TestServeLoadCapacitated(t *testing.T) {
 	rep, err := Run(Config{
 		Tenants:        6,

@@ -117,7 +117,7 @@ func TestConcurrentIdenticalCachedInstance(t *testing.T) {
 			s := New(Config{Workers: 4, Queue: 64, MaxBudget: time.Minute})
 			req := srrpRequest()
 			if capacitated {
-				req.Capacity = []float64{4, 4, 4, 4}
+				req.Capacity = bindingCapacity
 				req.ConsumptionRate = 1
 			}
 			want := serialCost(t, req)
@@ -142,6 +142,9 @@ func TestConcurrentIdenticalCachedInstance(t *testing.T) {
 					}
 					if resp.Cost != want {
 						t.Errorf("request %d: cost %v, serial %v", i, resp.Cost, want)
+					}
+					if capacitated && resp.Nodes == 0 {
+						t.Errorf("request %d: capacitated solve ran no branch-and-bound", i)
 					}
 				}(i)
 			}

@@ -42,8 +42,9 @@ type PlanRequest struct {
 	Demand []float64 `json:"demand"`
 	// Prices is the per-slot price series (drrp only).
 	Prices []float64 `json:"prices,omitempty"`
-	// Capacity/ConsumptionRate activate the bottleneck constraint and with
-	// it the MILP path.
+	// Capacity/ConsumptionRate activate the bottleneck constraint. An srrp
+	// or step solve whose capacities the uncapacitated optimum fits is still
+	// answered by the tree DP; only a binding one runs branch-and-bound.
 	Capacity        []float64 `json:"capacity,omitempty"`
 	ConsumptionRate float64   `json:"consumptionRate,omitempty"`
 
@@ -103,7 +104,7 @@ type PlanResponse struct {
 	// CacheHit reports the scenario tree was served from the shared cache.
 	CacheHit bool `json:"cacheHit,omitempty"`
 	// WarmRoot reports the MILP root relaxation was warm-started from a
-	// cached or tenant basis.
+	// cached or tenant basis; it is false whenever no branch-and-bound ran.
 	WarmRoot bool `json:"warmRoot,omitempty"`
 	// PlanReuse reports a step decision served from the tenant's previous
 	// plan without a new solve.

@@ -78,6 +78,7 @@ type Server struct {
 	mCacheHit  *metrics.CounterVec // by model: srrp | step
 	mCacheMiss *metrics.CounterVec // by model: srrp | step
 	mWarmRoot  *metrics.CounterVec // by source: cache | tenant
+	mCapSolve  *metrics.CounterVec // by path: dp | milp
 	mPlanReuse *metrics.Counter
 	mNodes     *metrics.Counter
 	mWarmNodes *metrics.Counter
@@ -105,6 +106,7 @@ func New(cfg Config) *Server {
 		mCacheHit:  reg.NewCounterVec("rentpland_tree_cache_hits_total", "Scenario-tree cache hits by model.", "model"),
 		mCacheMiss: reg.NewCounterVec("rentpland_tree_cache_misses_total", "Scenario-tree cache misses (tree built) by model.", "model"),
 		mWarmRoot:  reg.NewCounterVec("rentpland_warm_root_total", "MILP root relaxations warm-started from a shared basis.", "source"),
+		mCapSolve:  reg.NewCounterVec("rentpland_capacitated_solves_total", "Fresh capacitated srrp and step solves by the path that answered: dp (the uncapacitated tree DP's plan fit every capacity) or milp (branch-and-bound).", "path"),
 		mPlanReuse: reg.NewCounter("rentpland_plan_reuse_total", "Step decisions served from the tenant's previous plan without a solve."),
 		mNodes:     reg.NewCounter("rentpland_mip_nodes_total", "Branch-and-bound nodes across all MILP solves."),
 		mWarmNodes: reg.NewCounter("rentpland_mip_warm_nodes_total", "Warm-started node relaxations across all MILP solves."),
@@ -250,14 +252,9 @@ func (s *Server) solveSRRP(ctx context.Context, req *PlanRequest, budget time.Du
 	if err != nil {
 		return nil, err
 	}
-	warm := false
 	bh := basisHash(req.Demand, par.Capacity)
 	if par.Capacitated() {
-		if b := entry.loadBasis(bh); b != nil {
-			par.Solver.RootBasis = b
-			warm = true
-			s.mWarmRoot.With("cache").Inc()
-		}
+		par.Solver.RootBasis = entry.loadBasis(bh)
 	}
 	sctx, cancel := withBudget(ctx, budget)
 	defer cancel()
@@ -267,6 +264,7 @@ func (s *Server) solveSRRP(ctx context.Context, req *PlanRequest, budget time.Du
 	}
 	entry.storeBasis(plan.RootBasis, bh)
 	s.recordMIP(plan.Stats)
+	warm := s.countCapacitated(par, plan, "cache")
 	rung := core.RungFull
 	if plan.Degraded {
 		rung = core.RungIncumbent
@@ -344,11 +342,8 @@ func (s *Server) solveStep(ctx context.Context, req *PlanRequest, budget time.Du
 	if req.Slot+stages >= T {
 		stages = T - 1 - req.Slot
 	}
-	warm := false
 	if par.Capacitated() && tn.basis != nil && tn.basisFor == uint64(stages) {
 		cfg.Par.Solver.RootBasis = tn.basis
-		warm = true
-		s.mWarmRoot.With("tenant").Inc()
 	}
 	plan, rung, err := core.PlanStochasticStepCtx(ctx, cfg, req.bids(T), req.Slot, req.Inventory)
 	if err != nil {
@@ -368,6 +363,9 @@ func (s *Server) solveStep(ctx context.Context, req *PlanRequest, budget time.Du
 		}, nil
 	}
 	s.recordMIP(plan.Stats)
+	// A dp-rung plan is the ladder's fallback, not a capacitated solve's
+	// answer; rentpland_degradations_total counts it.
+	warm := rung != core.RungDP && s.countCapacitated(cfg.Par, plan, "tenant")
 	tn.resetPlan(plan, req.Slot, stride)
 	if plan.RootBasis != nil {
 		tn.basis, tn.basisFor = plan.RootBasis, uint64(stages)
@@ -412,6 +410,27 @@ func (s *Server) countPlan(model string, rung core.DegradeRung) {
 	if rung != core.RungFull {
 		s.mDegraded.With(rung.String()).Inc()
 	}
+}
+
+// countCapacitated counts a fresh capacitated solve of par under the path
+// that answered it, and reports whether its MILP root was warm-started from
+// the basis par offered: only a plan that carries MILP stats ran
+// branch-and-bound, so a DP answer ignored any basis. A warm root is
+// counted under source. Uncapacitated solves count nothing.
+func (s *Server) countCapacitated(par core.Params, plan *core.StochasticPlan, source string) bool {
+	if !par.Capacitated() {
+		return false
+	}
+	if plan.Stats == nil {
+		s.mCapSolve.With("dp").Inc()
+		return false
+	}
+	s.mCapSolve.With("milp").Inc()
+	if par.Solver.RootBasis == nil {
+		return false
+	}
+	s.mWarmRoot.With(source).Inc()
+	return true
 }
 
 // recordMIP folds a solve's branch-and-bound statistics into the daemon

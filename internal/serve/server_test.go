@@ -155,12 +155,17 @@ func TestPlanSRRPCacheAndMatch(t *testing.T) {
 	}
 }
 
+// bindingCapacity caps srrpRequest's stage 1 below its demand of 3, so the
+// uncapacitated tree DP's plan, which produces each stage's demand where it
+// falls, no longer fits and the solve runs branch-and-bound.
+var bindingCapacity = []float64{4, 2.5, 4, 4}
+
 // TestPlanSRRPWarmRoot checks a capacitated instance publishes a root basis
 // on the first solve and warm-starts the second tenant's root from it.
 func TestPlanSRRPWarmRoot(t *testing.T) {
 	s := testServer(t)
 	req := srrpRequest()
-	req.Capacity = []float64{4, 4, 4, 4}
+	req.Capacity = bindingCapacity
 	req.ConsumptionRate = 1
 
 	rec, resp := postPlan(t, s, req)
@@ -183,6 +188,108 @@ func TestPlanSRRPWarmRoot(t *testing.T) {
 	}
 	if resp2.Cost != resp.Cost {
 		t.Fatalf("warm cost %v differs from cold %v", resp2.Cost, resp.Cost)
+	}
+}
+
+// scrape returns the daemon's /v1/metrics exposition.
+func scrape(t *testing.T, s *Server) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("metrics status %d", rec.Code)
+	}
+	return rec.Body.String()
+}
+
+// wantMetrics fails unless every line of want appears in the exposition.
+func wantMetrics(t *testing.T, body string, want ...string) {
+	t.Helper()
+	for _, line := range want {
+		if !strings.Contains(body, line+"\n") {
+			t.Fatalf("metrics missing %q in:\n%s", line, body)
+		}
+	}
+}
+
+// TestCapacitatedSolvesCountedByPath checks that a capacitated srrp solve
+// whose capacity is slack is answered by the tree DP, with no nodes and no
+// warm root, and that it and a binding solve each bump their own series of
+// rentpland_capacitated_solves_total once; an uncapacitated solve bumps
+// neither.
+func TestCapacitatedSolvesCountedByPath(t *testing.T) {
+	s := testServer(t)
+	mustPost(t, s, srrpRequest())
+	slack := srrpRequest()
+	slack.Capacity, slack.ConsumptionRate = []float64{4, 4, 4, 4}, 1
+	resp := mustPost(t, s, slack)
+	if resp.Nodes != 0 || resp.WarmRoot {
+		t.Fatalf("slack capacity: nodes %d, warm root %v; want the DP's answer", resp.Nodes, resp.WarmRoot)
+	}
+	if want := mustPost(t, s, srrpRequest()); resp.Cost != want.Cost {
+		t.Fatalf("slack capacity costs %v, the uncapacitated plan %v", resp.Cost, want.Cost)
+	}
+	binding := srrpRequest()
+	binding.Capacity, binding.ConsumptionRate = bindingCapacity, 1
+	if resp := mustPost(t, s, binding); resp.Nodes == 0 {
+		t.Fatal("binding capacity ran no branch-and-bound")
+	}
+	wantMetrics(t, scrape(t, s),
+		`rentpland_capacitated_solves_total{path="dp"} 1`,
+		`rentpland_capacitated_solves_total{path="milp"} 1`)
+}
+
+// TestStepWarmRootOnlyWhenMILPRan checks a tenant's stored root basis is
+// reported and counted as a warm root only when the re-plan runs
+// branch-and-bound: a re-plan that fits the tree DP's plan ignores the
+// basis, and the next binding re-plan still starts from it.
+func TestStepWarmRootOnlyWhenMILPRan(t *testing.T) {
+	s := testServer(t)
+	step := func(slot int, capacity []float64) *PlanResponse {
+		req := stepRequest("acme", slot, 0)
+		req.Replan = 1
+		req.Capacity, req.ConsumptionRate = capacity, 1
+		return mustPost(t, s, req)
+	}
+	// Stage 1 demands 3 at slot 0 and 4 at slot 2; a cap of 2 binds both.
+	binding, slack := []float64{6, 2, 6}, []float64{100, 100, 100}
+	if resp := step(0, binding); resp.Nodes == 0 || resp.WarmRoot {
+		t.Fatalf("first binding re-plan: nodes %d, warm root %v; want a cold MILP", resp.Nodes, resp.WarmRoot)
+	}
+	if s.tenants.get("acme").basis == nil {
+		t.Fatal("binding re-plan stored no root basis")
+	}
+	if resp := step(1, slack); resp.Nodes != 0 || resp.WarmRoot {
+		t.Fatalf("slack re-plan: nodes %d, warm root %v; want the DP's answer", resp.Nodes, resp.WarmRoot)
+	}
+	if strings.Contains(scrape(t, s), "rentpland_warm_root_total{") {
+		t.Fatal("a re-plan the DP answered counted a warm root")
+	}
+	if resp := step(2, binding); resp.Nodes == 0 || !resp.WarmRoot {
+		t.Fatalf("second binding re-plan: nodes %d, warm root %v; want a warm MILP", resp.Nodes, resp.WarmRoot)
+	}
+	wantMetrics(t, scrape(t, s),
+		`rentpland_warm_root_total{source="tenant"} 1`,
+		`rentpland_capacitated_solves_total{path="dp"} 1`,
+		`rentpland_capacitated_solves_total{path="milp"} 2`)
+}
+
+// TestShortCapacityIsUnprocessable checks an srrp request whose capacity
+// series does not cover every tree stage gets 422 and the solver's error,
+// whether or not the uncapacitated plan fits the stages it does cover.
+func TestShortCapacityIsUnprocessable(t *testing.T) {
+	s := testServer(t)
+	for _, capacity := range [][]float64{{100, 100}, {1, 1}} {
+		req := srrpRequest()
+		req.Capacity, req.ConsumptionRate = capacity, 1
+		rec, _ := postPlan(t, s, req)
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+			t.Fatalf("capacity %v: %v in %s", capacity, err, rec.Body.String())
+		}
+		if want := "core: capacity series shorter than stages (2 < 4)"; rec.Code != http.StatusUnprocessableEntity || eb.Error != want {
+			t.Fatalf("capacity %v: status %d, error %q; want 422 and %q", capacity, rec.Code, eb.Error, want)
+		}
 	}
 }
 

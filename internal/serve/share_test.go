@@ -132,7 +132,11 @@ var shareMarkets = []shareMarket{
 
 // shareStep is tenant i's step request at slot over a horizon of T slots:
 // market i%markets, the given lookahead and stride, demand that differs per
-// tenant, and, when capacitated, a capacity on every tree stage.
+// tenant, and, when capacitated, a capacity on every tree stage. Demands
+// run from 1 to 5 and the capacity is 6, except at stage 1, where it is 4:
+// a re-plan whose next slot demands 5 binds there, since the uncapacitated
+// tree DP produces each stage's demand where it falls, and the others fit
+// the DP's plan.
 func shareStep(i, markets, slot, T, stages, stride int, capacitated bool, inv float64) *PlanRequest {
 	m := shareMarkets[i%markets]
 	dem := make([]float64, T)
@@ -147,6 +151,7 @@ func shareStep(i, markets, slot, T, stages, stride int, capacitated bool, inv fl
 	}
 	if capacitated {
 		q.Capacity, q.ConsumptionRate = constants(stages+1, 6), 1
+		q.Capacity[1] = 4
 	}
 	return q
 }
@@ -176,16 +181,17 @@ func mustPost(t *testing.T, s *Server, req *PlanRequest) *PlanResponse {
 
 // TestSharedTreeStepsMatchPrivateOracle replays one scripted stream through
 // the daemon and through privateDaemon: tenants of three markets,
-// uncapacitated and capacitated, strides 1-3 held per tenant, lookaheads
-// 3-5 over a 9-slot horizon (so the last slots re-plan on truncated tails),
-// with srrp joins of each market interleaved. Every answer must match the
-// oracle's bit for bit.
+// uncapacitated and capacitated (some re-plans binding, some answered by
+// the tree DP), strides 1-3 held per tenant, lookaheads 3-5 over a 9-slot
+// horizon (so the last slots re-plan on truncated tails), with srrp joins
+// of each market interleaved. Every answer must match the oracle's bit for
+// bit.
 func TestSharedTreeStepsMatchPrivateOracle(t *testing.T) {
 	const tenantsN, markets, T = 12, 3, 9
 	s := testServer(t)
 	o := &privateDaemon{tenants: map[string]*privateTenant{}}
 	inv := make([]float64, tenantsN)
-	reused, tails, milp := 0, 0, 0
+	reused, tails, milp, dp := 0, 0, 0, 0
 	check := func(req *PlanRequest, got *PlanResponse, want PlanResponse) {
 		t.Helper()
 		if got.Cost != want.Cost || derefBool(got.Rent) != derefBool(want.Rent) ||
@@ -205,8 +211,11 @@ func TestSharedTreeStepsMatchPrivateOracle(t *testing.T) {
 			if got.PlanReuse {
 				reused++
 			}
-			if got.Nodes > 0 {
+			switch {
+			case got.Nodes > 0:
 				milp++
+			case req.Capacity != nil && !got.PlanReuse:
+				dp++
 			}
 			if !got.PlanReuse && slot+req.Stages >= T {
 				tails++
@@ -218,8 +227,9 @@ func TestSharedTreeStepsMatchPrivateOracle(t *testing.T) {
 			check(req, mustPost(t, s, req), o.answer(t, req))
 		}
 	}
-	if reused == 0 || tails == 0 || milp == 0 {
-		t.Fatalf("stream exercised %d plan reuses, %d tail re-plans and %d MILP re-plans; want each", reused, tails, milp)
+	if reused == 0 || tails == 0 || milp == 0 || dp == 0 {
+		t.Fatalf("stream exercised %d plan reuses, %d tail re-plans, %d MILP re-plans and %d capacitated re-plans the DP answered; want each",
+			reused, tails, milp, dp)
 	}
 }
 

@@ -28,11 +28,11 @@ type tenant struct {
 	planStart int
 	path      []int
 
-	// basis is the root basis of the tenant's last capacitated re-plan,
-	// fed back through Params.Solver.RootBasis on the next one. The MILP
-	// shape of a rolling re-plan changes with the remaining horizon, so the
-	// basis is fingerprinted like the cache's (basisFor) and only reused
-	// for a structurally identical solve.
+	// basis is the root basis of the tenant's last re-plan that ran
+	// branch-and-bound, fed back through Params.Solver.RootBasis on the
+	// next capacitated one. The MILP shape of a rolling re-plan changes with
+	// the remaining horizon, so the basis is fingerprinted like the cache's
+	// (basisFor) and only reused for a structurally identical solve.
 	basis    *lp.Basis
 	basisFor uint64
 }

@@ -13,6 +13,7 @@ import (
 
 	"rentplan/internal/core"
 	"rentplan/internal/market"
+	"rentplan/internal/mip"
 	"rentplan/internal/scenario"
 	"rentplan/internal/stats"
 )
@@ -175,12 +176,14 @@ type Result struct {
 	TreeVertices int      `json:"treeVertices,omitempty"`
 }
 
-// Solve runs the described instance.
-func (ins *Instance) Solve() (*Result, error) {
+// Solve runs the described instance, passing solver to every
+// branch-and-bound search it needs (core.Params.Solver).
+func (ins *Instance) Solve(solver mip.Options) (*Result, error) {
 	if err := ins.Validate(); err != nil {
 		return nil, err
 	}
 	par := ins.params()
+	par.Solver = solver
 	switch ins.Model {
 	case "drrp":
 		prices := ins.Prices

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"rentplan/internal/core"
 	"rentplan/internal/market"
+	"rentplan/internal/mip"
 )
 
 const drrpJSON = `{
@@ -36,7 +38,7 @@ func TestParseAndSolveDRRP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ins.Solve()
+	res, err := ins.Solve(mip.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestParseAndSolveSRRP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ins.Solve()
+	res, err := ins.Solve(mip.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +95,11 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := ins.Solve()
+	r1, err := ins.Solve(mip.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := back.Solve()
+	r2, err := back.Solve(mip.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +119,7 @@ func TestCapacitatedSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ins.Solve()
+	res, err := ins.Solve(mip.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +127,30 @@ func TestCapacitatedSpec(t *testing.T) {
 		if a > 0.7+1e-6 {
 			t.Fatalf("capacity violated at %d: %v", t0, a)
 		}
+	}
+}
+
+// TestSolvePassesSolverOptions checks Solve hands its solver options to the
+// branch-and-bound search: stage 1's capacity sits below its demand, which
+// binds at the uncapacitated optimum, so the solve runs the MILP, and the
+// Progress callback must receive at least one Stats snapshot.
+func TestSolvePassesSolverOptions(t *testing.T) {
+	in := strings.Replace(srrpJSON, `"demand": [0.4, 0.4, 0.4],`, `"demand": [0.4, 0.4, 0.4],
+  "capacity": [0.6, 0.3, 1],`, 1)
+	ins, err := Parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snapshots atomic.Int64
+	res, err := ins.Solve(mip.Options{Workers: 1, Progress: func(mip.Stats) { snapshots.Add(1) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snapshots.Load() == 0 {
+		t.Fatal("the MILP solve sent no Stats snapshot to the Progress callback")
+	}
+	if *res.RootAlpha > 0.6 {
+		t.Fatalf("root generates %v over its capacity 0.6", *res.RootAlpha)
 	}
 }
 
@@ -169,7 +195,7 @@ func TestUniformBaseProbsDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ins.Solve()
+	res, err := ins.Solve(mip.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
