@@ -94,11 +94,16 @@ fuzz-dp:
 # bids on and one ULP beside the price levels) Run and RunPolling must both
 # fail whenever validation rejects the config, and must otherwise fail
 # alike or agree exactly on every integer counter and epoch report and to
-# 1e-9 on costs, with shard counts 1 to 4 bit-identical. A failing input is
-# written to internal/fleet/testdata/fuzz and replays in every later go
-# test run.
+# 1e-9 on costs, with shard counts 1 to 4 bit-identical. Then fuzz the
+# engine's price-level bucket index against the binary search for the same
+# budget: on every decoded set of up to 64 finite levels (duplicates,
+# one-ULP steps, extreme and subnormal magnitudes) the lookup must count
+# exactly the levels at or below each decoded bid, each level and one ULP
+# to either side, without a panic. A failing input is written to
+# internal/fleet/testdata/fuzz and replays in every later go test run.
 fuzz-fleet:
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetMatchesPolling$$' -fuzztime 20s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzLevelIndex$$' -fuzztime 20s ./internal/fleet
 
 # Fuzz the nested L-shaped solver against the extensive-form LP for a fixed
 # budget: every decoded tree (up to 300 vertices, 1 to 5 stages, 1 to 3

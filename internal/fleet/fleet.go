@@ -96,7 +96,8 @@ type Config struct {
 	// every epoch prices from the generator's calibrated base level.
 	Feedback float64
 	// Capacity is the provider's spot capacity in instance-slots per epoch
-	// entering the feedback law; <= 0 selects len(Population)*EpochHours/2.
+	// entering the feedback law; <= 0 selects len(Population)*EpochHours/2,
+	// +Inf sets no limit, and NaN is rejected.
 	Capacity float64
 	// Seed drives population-independent market randomness; epoch e uses
 	// a deterministic offset of it.
@@ -159,6 +160,9 @@ type Result struct {
 // realistic traces do cross them), truncated-normal base demand, uniform
 // diurnal amplitude and elasticity, and plan horizons of 1-4 days.
 func SamplePopulation(n int, class market.VMClass, seed int64) ([]ASP, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("fleet: population size %d must be >= 0", n)
+	}
 	gc, err := market.DefaultGenConfig(class)
 	if err != nil {
 		return nil, err
@@ -177,6 +181,11 @@ func SamplePopulation(n int, class market.VMClass, seed int64) ([]ASP, error) {
 	return pop, nil
 }
 
+// validate checks the config and then every ASP, and returns the first
+// failure; RunCtx and RunPolling both run it before anything else. Each
+// ASP case is one fused comparison, false for NaN and, through
+// x <= MaxFloat64, for +Inf, so a valid ASP costs a few compares and only
+// an invalid one builds a message.
 func (cfg *Config) validate() error {
 	if len(cfg.Population) == 0 {
 		return errors.New("fleet: empty population")
@@ -198,20 +207,21 @@ func (cfg *Config) validate() error {
 	if cfg.Feedback < 0 || !isFinite(cfg.Feedback) {
 		return fmt.Errorf("fleet: feedback gain %v must be a finite non-negative number", cfg.Feedback)
 	}
-	for i, a := range cfg.Population {
-		if !isFinite(a.Bid) || a.Bid <= 0 {
+	// NaN would price every epoch after the first from a NaN base.
+	if math.IsNaN(cfg.Capacity) {
+		return errors.New("fleet: capacity NaN; want +Inf for no limit or <= 0 for the default")
+	}
+	for i := range cfg.Population {
+		switch a := &cfg.Population[i]; {
+		case !(a.Bid > 0 && a.Bid <= math.MaxFloat64):
 			return fmt.Errorf("fleet: ASP %d bid %v not a finite positive number", i, a.Bid)
-		}
-		if !isFinite(a.BaseDemand) || a.BaseDemand < 0 {
+		case !(a.BaseDemand >= 0 && a.BaseDemand <= math.MaxFloat64):
 			return fmt.Errorf("fleet: ASP %d base demand %v not a finite non-negative number", i, a.BaseDemand)
-		}
-		if a.DiurnalAmp < 0 || a.DiurnalAmp >= 1 || !isFinite(a.DiurnalAmp) {
+		case !(a.DiurnalAmp >= 0 && a.DiurnalAmp < 1):
 			return fmt.Errorf("fleet: ASP %d diurnal amplitude %v outside [0,1)", i, a.DiurnalAmp)
-		}
-		if !isFinite(a.Elasticity) || a.Elasticity < 0 {
+		case !(a.Elasticity >= 0 && a.Elasticity <= math.MaxFloat64):
 			return fmt.Errorf("fleet: ASP %d elasticity %v not a finite non-negative number", i, a.Elasticity)
-		}
-		if a.PlanHorizon < 1 {
+		case a.PlanHorizon < 1:
 			return fmt.Errorf("fleet: ASP %d plan horizon %d must be >= 1", i, a.PlanHorizon)
 		}
 	}

@@ -60,6 +60,14 @@ func TestSamplePopulation(t *testing.T) {
 			t.Fatalf("sampling not deterministic at ASP %d", i)
 		}
 	}
+	// A negative size is an error, and an empty population one that Run
+	// rejects.
+	if pop, err := SamplePopulation(-1, market.M1Large, 3); pop != nil || err == nil || !strings.Contains(err.Error(), "population size -1") {
+		t.Fatalf("SamplePopulation(-1): %d ASPs, err %v; want a population size error", len(pop), err)
+	}
+	if pop, err := SamplePopulation(0, market.M1Large, 3); len(pop) != 0 || err != nil {
+		t.Fatalf("SamplePopulation(0): %d ASPs, err %v; want an empty population", len(pop), err)
+	}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -78,6 +86,9 @@ func TestConfigValidation(t *testing.T) {
 		{"bad bid", func(c *Config) { c.Population[2].Bid = math.Inf(1) }, "bid"},
 		{"bad amp", func(c *Config) { c.Population[1].DiurnalAmp = 1.5 }, "amplitude"},
 		{"bad horizon", func(c *Config) { c.Population[0].PlanHorizon = 0 }, "plan horizon"},
+		// With feedback on, a NaN capacity would price epoch 1 from a NaN
+		// base.
+		{"nan capacity", func(c *Config) { c.Capacity, c.Feedback, c.Epochs = math.NaN(), 0.3, 2 }, "capacity NaN"},
 		// The slot count n·Epochs·EpochHours must fit int64: 4·2⁶² wraps
 		// to 0 and 3·2⁶² to a negative count.
 		{"slot count wraps to zero", func(c *Config) { c.Epochs, c.EpochHours = 1<<62, 1 },
@@ -101,10 +112,92 @@ func TestConfigValidation(t *testing.T) {
 			t.Fatalf("%s: RunPolling err = %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
-	// A slot count of exactly math.MaxInt64 fits.
+	// A slot count of exactly math.MaxInt64 fits, and an infinite capacity
+	// means no limit.
 	cfg := &Config{Class: market.C1Medium, Population: pop[:1], Shards: 1, Epochs: math.MaxInt64, EpochHours: 1}
 	if err := cfg.validate(); err != nil {
 		t.Fatalf("1 ASP × MaxInt64 epochs × 1 epoch hour rejected: %v", err)
+	}
+	for _, c := range []float64{math.Inf(1), math.Inf(-1)} {
+		cfg := &Config{Class: market.C1Medium, Population: pop, Shards: 1, Epochs: 2, EpochHours: 24, Feedback: 0.3, Capacity: c}
+		if _, err := Run(cfg); err != nil {
+			t.Fatalf("capacity %v: %v", c, err)
+		}
+	}
+
+	// Each ASP field's fused comparison accepts exactly the finite values in
+	// its range, and the error names the field.
+	special := []float64{math.NaN(), math.Inf(-1), -math.MaxFloat64, -1, math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, 0.5, math.Nextafter(1, 0), 1, math.MaxFloat64, math.Inf(1)}
+	fields := []struct {
+		name string
+		set  func(*ASP, float64)
+		ok   func(float64) bool
+	}{
+		{"bid", func(a *ASP, v float64) { a.Bid = v }, func(v float64) bool { return isFinite(v) && v > 0 }},
+		{"base demand", func(a *ASP, v float64) { a.BaseDemand = v }, func(v float64) bool { return isFinite(v) && v >= 0 }},
+		{"diurnal amplitude", func(a *ASP, v float64) { a.DiurnalAmp = v }, func(v float64) bool { return v >= 0 && v < 1 }},
+		{"elasticity", func(a *ASP, v float64) { a.Elasticity = v }, func(v float64) bool { return isFinite(v) && v >= 0 }},
+	}
+	check := func(a ASP, field string, ok bool) {
+		t.Helper()
+		cfg := &Config{Population: []ASP{a}, Shards: 1, Epochs: 1, EpochHours: 24}
+		err := cfg.validate()
+		if (err == nil) != ok {
+			t.Fatalf("%+v: validate error %v; want valid %v", a, err, ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "ASP 0 "+field) {
+			t.Fatalf("%+v: error %q does not name the %s", a, err, field)
+		}
+	}
+	for _, f := range fields {
+		for _, v := range special {
+			a := pop[0]
+			f.set(&a, v)
+			check(a, f.name, f.ok(v))
+		}
+	}
+	for _, h := range []int{math.MinInt, -1, 0, 1, math.MaxInt} {
+		a := pop[0]
+		a.PlanHorizon = h
+		check(a, "plan horizon", h >= 1)
+	}
+}
+
+// The shard count must not change which error a run reports: the
+// lowest-index invalid ASP, whichever shard holds it, and ahead of an
+// unknown class.
+func TestValidationIndependentOfShards(t *testing.T) {
+	pop, err := SamplePopulation(10, market.C1Medium, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pop[3].DiurnalAmp = math.NaN()
+	pop[7].Bid = -1
+	const want = "fleet: ASP 3 diurnal amplitude NaN outside [0,1)"
+	for _, class := range []market.VMClass{market.C1Medium, "x9.unknown"} {
+		for shards := 1; shards <= 4; shards++ {
+			cfg := &Config{Class: class, Population: pop, Shards: shards, Epochs: 2, EpochHours: 24}
+			_, runErr := Run(cfg)
+			_, pollErr := RunPolling(cfg)
+			for _, err := range []error{cfg.validate(), runErr, pollErr} {
+				if err == nil || err.Error() != want {
+					t.Fatalf("class %s, shards=%d: err %v, want %q", class, shards, err, want)
+				}
+			}
+		}
+	}
+	// With the ASPs valid, the unknown class is the error.
+	pop[3].DiurnalAmp, pop[7].Bid = 0.3, 0.05
+	for shards := 1; shards <= 4; shards++ {
+		cfg := &Config{Class: "x9.unknown", Population: pop, Shards: shards, Epochs: 2, EpochHours: 24}
+		_, runErr := Run(cfg)
+		_, pollErr := RunPolling(cfg)
+		for _, err := range []error{runErr, pollErr} {
+			if err == nil || !strings.Contains(err.Error(), `unknown VM class "x9.unknown"`) {
+				t.Fatalf("shards=%d: err %v, want the unknown class", shards, err)
+			}
+		}
 	}
 }
 

@@ -13,9 +13,10 @@ const ctxStride = 4096
 // runEpochLite settles one epoch for every ASP in the shard with the
 // closed-form lite planner, in one sequential pass in index order. The
 // shard first tabulates the epoch per price level (levelTables.build);
-// each ASP then settles in O(1) from its bid's interval: inst·c spot slots
-// and inst·(H−c) on-demand slots for the interval's in-bid slot count c,
-// compute cost from the interval's in-bid price sum and the on-demand rate,
+// each ASP then settles in O(1) from its bid's interval, which one bucket
+// lookup finds (levelTables.lookup): inst·c spot slots and inst·(H−c)
+// on-demand slots for the interval's in-bid slot count c, compute cost
+// inst·(S+λ·(H−c)) for its in-bid price sum S and the on-demand rate λ,
 // demand from the diurnal sum, and one solve per wake.
 //
 // The pass stops at the first ASP whose instance count the run cannot
@@ -25,9 +26,9 @@ const ctxStride = 4096
 func (w *shardWorker) runEpochLite(ctx context.Context, job epochWork) epochAck {
 	var a epochAck
 	lt := &w.levels
-	lt.build(job.prices, len(w.pop))
-	H := len(job.prices)
 	sh := &w.shared
+	lt.build(job.prices, sh.lambda, len(w.pop))
+	H := len(job.prices)
 	logRatio := math.Log(sh.p0 / job.meanPrice)
 	for i := range w.pop {
 		if i%ctxStride == 0 && ctx.Err() != nil {
@@ -40,20 +41,20 @@ func (w *shardWorker) runEpochLite(ctx context.Context, job epochWork) epochAck 
 			a.err = aspError(job.epoch, w.lo+i, instancesError(mult, asp.BaseDemand))
 			return a
 		}
-		j := interval(lt.q, asp.Bid)
+		j := lt.lookup(asp.Bid)
 		// A plan that outlives the epoch never expires inside it, so
 		// clamping the horizon to H changes no wake count.
 		wakes := lt.wakes(j, min(asp.PlanHorizon, H))
-		c := lt.slots[j]
+		s := &lt.settle[j]
 		gb := mult * asp.BaseDemand * (float64(H) + asp.DiurnalAmp*sh.sinTotal)
 		o := &w.out[i]
-		o.Cost += gb*sh.svcPerGB + float64(inst)*(lt.sum[j]+sh.lambda*float64(int64(H)-c))
+		o.Cost += gb*sh.svcPerGB + float64(inst)*s.rate
 		o.DemandGB += gb
-		o.SpotSlots += inst * c
-		o.OnDemandSlots += inst * (int64(H) - c)
+		o.SpotSlots += inst * s.spot
+		o.OnDemandSlots += inst * s.onDemand
 		o.Wakes += wakes
 		o.Solves += wakes
-		a.spotSlots += inst * c
+		a.spotSlots += inst * s.spot
 		a.wakes += wakes
 	}
 	a.solves = a.wakes
@@ -66,17 +67,21 @@ func (w *shardWorker) runEpochLite(ctx context.Context, job epochWork) epochAck 
 // is in-bid at slot t iff its bid >= price[t], so every bid in interval j
 // is in-bid at exactly the slots priced at one of the j lowest levels and
 // crosses regime at exactly the same slots. Everything the lite planner
-// needs of an epoch is therefore a constant of the interval.
+// needs of an epoch is therefore a constant of the interval, and a bucket
+// index over the levels finds a bid's interval without a search (lookup).
 //
 // The slices are shard-owned scratch reused from epoch to epoch. Their
 // size is O(H + m + E) for an epoch of H slots whose price changes step
 // across E level boundaries in total; nothing is sized m × H.
 type levelTables struct {
 	q []float64 // the distinct prices, ascending
-	// slots[j] and sum[j] are interval j's in-bid slot count and the sum of
-	// its in-bid prices.
-	slots []int64
-	sum   []float64
+	// settle[j] is interval j's settlement entry.
+	settle []settleEntry
+	// buckets is the index over q (index, lookup); bucket b holds the
+	// levels whose grid index is b, under the grid lo, scale and top
+	// define (gridIndex).
+	buckets        []bucket
+	lo, scale, top float64
 	// seg[off[j]:off[j+1]] are the lengths of interval j's constant-regime
 	// segments [0, x₁), [x₁, x₂), …, [x_k, H), where x₁ < … < x_k are the
 	// slots at which its bids cross.
@@ -88,6 +93,28 @@ type levelTables struct {
 	rank, next []int
 	memo       []wakeMemo
 }
+
+// settleEntry is what an ASP in one interval settles its epoch from, per
+// instance: the in-bid slot count c, the out-of-bid count H−c, and the
+// compute cost S+λ·(H−c) for the interval's in-bid price sum S and the
+// on-demand rate λ.
+type settleEntry struct {
+	spot, onDemand int64
+	rate           float64
+}
+
+// bucket is one cell of the level index. level is the bucket's lowest
+// level and q[first:end] are its further levels, so end counts the levels
+// in it and in every lower bucket. An empty bucket has first = end and
+// level −Inf, which lies below every bid and so is never subtracted.
+type bucket struct {
+	level      float64
+	first, end int
+}
+
+// maxBuckets caps the level index; an epoch of more than maxBuckets/4
+// levels shares buckets, and a bid scans its bucket's further levels.
+const maxBuckets = 4096
 
 // memoBits caps the wake memo at 4096 entries, which hold every (interval,
 // horizon) pair without collision while intervals stay below 32 and
@@ -103,37 +130,37 @@ type wakeMemo struct {
 	wakes int64
 }
 
-// build tabulates the epoch's prices for a shard of asps ASPs.
-func (lt *levelTables) build(prices []float64, asps int) {
+// build tabulates the epoch's prices, for on-demand rate lambda, for a
+// shard of asps ASPs.
+func (lt *levelTables) build(prices []float64, lambda float64, asps int) {
 	H := len(prices)
 	lt.q = append(lt.q[:0], prices...)
 	slices.Sort(lt.q)
 	lt.q = slices.Compact(lt.q)
 	m := len(lt.q)
-	lt.slots = zeroed(lt.slots, m+1)
-	lt.sum = zeroed(lt.sum, m+1)
+	lt.settle = zeroed(lt.settle, m+1)
 	lt.next = zeroed(lt.next, m+1)
 	lt.rank = zeroed(lt.rank, H)
-	// Per-level slot counts and price sums, and in next the difference
-	// array of crossing counts: the change from rank a to rank b crosses
-	// intervals min(a,b) … max(a,b)−1.
+	// Per-level slot counts and price sums (held in rate until the prefix
+	// pass), and in next the difference array of crossing counts: the
+	// change from rank a to rank b crosses intervals min(a,b) … max(a,b)−1.
 	for t, p := range prices {
 		r := interval(lt.q, p)
 		lt.rank[t] = r
-		lt.slots[r]++
-		lt.sum[r] += p
+		lt.settle[r].spot++
+		lt.settle[r].rate += p
 		if t > 0 && r != lt.rank[t-1] {
 			lt.next[min(r, lt.rank[t-1])]++
 			lt.next[max(r, lt.rank[t-1])]--
 		}
 	}
 	lt.off = zeroed(lt.off, m+2)
-	crossings := 0
+	crossings, c, sum := 0, int64(0), 0.0
 	for j := 0; j <= m; j++ {
-		if j > 0 {
-			lt.slots[j] += lt.slots[j-1]
-			lt.sum[j] += lt.sum[j-1]
-		}
+		e := &lt.settle[j]
+		c += e.spot
+		sum += e.rate
+		*e = settleEntry{spot: c, onDemand: int64(H) - c, rate: sum + lambda*float64(int64(H)-c)}
 		crossings += lt.next[j]
 		lt.off[j+1] = lt.off[j] + crossings + 1
 		lt.next[j] = lt.off[j]
@@ -155,7 +182,80 @@ func (lt *levelTables) build(prices []float64, asps int) {
 			s[k] -= s[k-1]
 		}
 	}
+	lt.index()
 	lt.memo = zeroed(lt.memo, 1<<min(memoBits, bits.Len(uint(asps))))
+}
+
+// index builds the bucket index over q in O(m + G) for G grid buckets, the
+// power of two at least 4m, capped at maxBuckets. The grid works in half
+// units, (x/2 − q[0]/2)·G/(q[m-1]/2 − q[0]/2), so no difference of finite
+// values overflows. Where the scale G/(q[m-1]/2 − q[0]/2) is not finite
+// (one level, or levels a few ULPs apart near zero), the index is a single
+// bucket that holds every level.
+func (lt *levelTables) index() {
+	m := len(lt.q)
+	g := min(1<<bits.Len(uint(4*m-1)), maxBuckets)
+	lt.lo = lt.q[0] * 0.5
+	lt.scale = float64(g) / (lt.q[m-1]*0.5 - lt.lo)
+	if !(lt.scale <= math.MaxFloat64) {
+		g, lt.scale = 0, 0
+	}
+	lt.top = float64(g)
+	lt.buckets = zeroed(lt.buckets, g+1)
+	// The levels ascend and the grid index is monotone, so each bucket's
+	// levels are a run of q and the first one met is its lowest. end counts
+	// the bucket's levels until the prefix pass. A zero level is stored as
+	// −0 (lookup says why); the two compare equal everywhere else.
+	for k, l := range lt.q {
+		if l == 0 { //lint:ignore rentlint/floatcmp only an exact zero, of either sign, can give lookup a difference of −0
+			l = math.Copysign(0, -1)
+			lt.q[k] = l
+		}
+		e := &lt.buckets[lt.gridIndex(l)]
+		if e.end == 0 {
+			e.level = l
+		}
+		e.end++
+	}
+	n := 0
+	for b := range lt.buckets {
+		e := &lt.buckets[b]
+		if e.end == 0 {
+			e.level = math.Inf(-1)
+		}
+		e.first = n + min(e.end, 1)
+		n += e.end
+		e.end = n
+	}
+}
+
+// gridIndex is x's bucket: a monotone function of x, finite for every
+// finite x, clamped to the grid.
+func (lt *levelTables) gridIndex(x float64) int {
+	return int(min(max((x*0.5-lt.lo)*lt.scale, 0), lt.top))
+}
+
+// lookup is the number of levels at or below a finite bid, as interval
+// computes it, from one bucket: its end, less each of its levels that lies
+// above the bid. Since the grid index is monotone, every level in a lower
+// bucket lies at or below the bid and every level in a higher bucket above
+// it. On generated weeks no bucket holds two levels, so the scan of
+// further levels does nothing there.
+//
+// Each comparison bid < level is the sign bit of bid − level, which needs
+// no branch: the difference of two finite values is zero only when they
+// are equal, and +Inf against an empty bucket's −Inf. The difference is
+// −0 only for −0 − (+0), which index rules out by storing a zero level as
+// −0. Written as an if, the comparison compiles to a branch that
+// mispredicts for bids near a level. The body stays within the compiler's
+// inlining budget, so runEpochLite pays no call.
+func (lt *levelTables) lookup(bid float64) int {
+	e := lt.buckets[lt.gridIndex(bid)]
+	j := e.end - int(math.Float64bits(bid-e.level)>>63)
+	for k := e.first; k < e.end; k++ {
+		j -= int(math.Float64bits(bid-lt.q[k]) >> 63)
+	}
+	return j
 }
 
 // wakes is the wake (and solve) count of an ASP in interval j whose plans
@@ -176,7 +276,8 @@ func (lt *levelTables) wakes(j, h int) int64 {
 }
 
 // interval is the number of levels at or below bid: the index of the
-// interval bid falls in.
+// interval bid falls in, by binary search. build ranks each slot's price
+// with it, and the tests hold lookup to it.
 func interval(q []float64, bid float64) int {
 	lo, hi := 0, len(q)
 	for lo < hi {
