@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt vet lint test-analysis race race-fleet perfbench-smoke check bench bench-sparse bench-dual bench-benders serve-test bench-serve bench-fleet fuzz-lp fuzz-dp fuzz-fleet fuzz-nested fuzz-srrp-cap
+.PHONY: build test fmt vet lint test-analysis race race-fleet perfbench-smoke check bench bench-sparse bench-dual bench-benders serve-test bench-serve bench-fleet fuzz-lp fuzz-dp fuzz-fleet fuzz-nested fuzz-srrp-cap fuzz-exec
 
 build:
 	$(GO) build ./...
@@ -126,6 +126,18 @@ fuzz-nested:
 # every later go test run.
 fuzz-srrp-cap:
 	$(GO) test -run '^$$' -fuzz '^FuzzCapacitatedSRRPMatchesMILP$$' -fuzztime 20s ./internal/core
+
+# Fuzz the rolling-horizon executor for a fixed budget: on every decoded
+# uncapacitated run (up to 48 slots of price, bid and demand, lookahead 0
+# to 4, branch cap 1 to 4, stride 1 to 8, budgeted or not) a replay from
+# PlanStochasticStepCtx and Follow alone must reproduce RunStochastic bit
+# for bit, a stride past TreeStages+1 must run as TreeStages+1, the events
+# executor must run as stride TreeStages+1 when the bids never cross the
+# price, and every cost must be finite and non-negative. A failing input
+# is written to internal/core/testdata/fuzz and replays in every later go
+# test run.
+fuzz-exec:
+	$(GO) test -run '^$$' -fuzz '^FuzzRollingExecutor$$' -fuzztime 20s ./internal/core
 
 # The rentpland daemon stack under the race detector: handler and
 # reentrancy suites (bit-identical concurrent-vs-serial objectives, zero

@@ -32,13 +32,17 @@ type ExecConfig struct {
 	MaxBranch int
 	// BuildTree, when set, supplies the scenario tree of every stochastic
 	// re-plan in place of scenario.Build: it is called with Build's
-	// arguments and must return the tree Build would, which the plan then
-	// shares and nobody may modify. nil calls scenario.Build. A caller that
-	// re-plans many tenants against one market shares trees through it.
+	// arguments and must return the tree Build would. nil calls
+	// scenario.Build. A caller that re-plans many tenants against one
+	// market shares trees through it, so two rules hold: a tree is
+	// immutable once built (plans point into it and nobody may modify it),
+	// and BuildTree must be safe for concurrent use.
 	BuildTree func(base stats.Discrete, bids []float64, onDemand float64, cfg scenario.BuildConfig) (*scenario.Tree, error)
 	// Replan is the rolling-horizon stride for the stochastic policy: a new
 	// SRRP is solved every Replan slots (paper: "a revised plan is issued
-	// periodically"). ≤0 means every slot.
+	// periodically"). ≤0 means every slot. A plan holds decisions for
+	// TreeStages+1 slots, and the slot after them re-plans whatever the
+	// stride, so a stride longer than TreeStages+1 acts as TreeStages+1.
 	Replan int
 	// Budget caps the wall-clock time of every rolling-horizon re-solve.
 	// When positive, a re-solve that exceeds it degrades through the ladder
@@ -155,44 +159,17 @@ func execute(cfg *ExecConfig, decide func(t int, inv float64) decision) (*Outcom
 // realised spot prices (perfect information). Its cost is the baseline that
 // Fig. 12(a) measures overpay against.
 func RunOracle(cfg *ExecConfig) (*Outcome, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	plan, err := SolveDRRP(cfg.Par, cfg.Actual, cfg.Demand)
-	if err != nil {
-		return nil, err
-	}
-	out, err := execute(cfg, func(t int, inv float64) decision {
-		return decision{rent: plan.Chi[t], alpha: plan.Alpha[t], payRate: cfg.Actual[t]}
-	})
-	if err == nil {
-		out.Replans = 1
-	}
-	return out, err
+	return runPlanOnce(cfg,
+		func(float64) []float64 { return cfg.Actual },
+		func(t int, _ float64) (float64, bool) { return cfg.Actual[t], false })
 }
 
 // RunOnDemand evaluates the pure on-demand policy: plan and pay at the
 // fixed rate λ, ignoring the spot market entirely.
 func RunOnDemand(cfg *ExecConfig) (*Outcome, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	lambda, err := cfg.Par.OnDemandRate()
-	if err != nil {
-		return nil, err
-	}
-	prices := constants(len(cfg.Demand), lambda)
-	plan, err := SolveDRRP(cfg.Par, prices, cfg.Demand)
-	if err != nil {
-		return nil, err
-	}
-	out, err := execute(cfg, func(t int, inv float64) decision {
-		return decision{rent: plan.Chi[t], alpha: plan.Alpha[t], payRate: lambda}
-	})
-	if err == nil {
-		out.Replans = 1
-	}
-	return out, err
+	return runPlanOnce(cfg,
+		func(lambda float64) []float64 { return constants(len(cfg.Demand), lambda) },
+		func(_ int, lambda float64) (float64, bool) { return lambda, false })
 }
 
 // RunDeterministic evaluates the DRRP-based spot policy ("det-predict" /
@@ -201,26 +178,35 @@ func RunOnDemand(cfg *ExecConfig) (*Outcome, error) {
 // slot, paying the spot price when the bid wins (uniform-price auction) and
 // falling back to an on-demand instance when out of bid.
 func RunDeterministic(cfg *ExecConfig, bids []float64) (*Outcome, error) {
+	return runPlanOnce(cfg, func(float64) []float64 { return bids }, func(t int, lambda float64) (float64, bool) {
+		if bids[t] < cfg.Actual[t] {
+			return lambda, true // out of bid: fall back to on-demand
+		}
+		return cfg.Actual[t], false
+	})
+}
+
+// runPlanOnce executes a plan-once policy: one DRRP over the whole horizon
+// at the prices planAt returns for the on-demand rate λ, each rented slot
+// charged the rate pay returns and counted out of bid when pay says so.
+func runPlanOnce(cfg *ExecConfig, planAt func(lambda float64) []float64, pay func(t int, lambda float64) (rate float64, outOfBid bool)) (*Outcome, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if len(bids) != len(cfg.Demand) {
-		return nil, errors.New("core: bids length mismatch")
 	}
 	lambda, err := cfg.Par.OnDemandRate()
 	if err != nil {
 		return nil, err
 	}
-	plan, err := SolveDRRP(cfg.Par, bids, cfg.Demand)
+	prices := planAt(lambda)
+	if len(prices) != len(cfg.Demand) {
+		return nil, errors.New("core: bids length mismatch")
+	}
+	plan, err := SolveDRRP(cfg.Par, prices, cfg.Demand)
 	if err != nil {
 		return nil, err
 	}
-	out, err := execute(cfg, func(t int, inv float64) decision {
-		rate := cfg.Actual[t]
-		oob := bids[t] < cfg.Actual[t]
-		if oob {
-			rate = lambda // out-of-bid: fall back to on-demand
-		}
+	out, err := execute(cfg, func(t int, _ float64) decision {
+		rate, oob := pay(t, lambda)
 		return decision{rent: plan.Chi[t], alpha: plan.Alpha[t], payRate: rate, outOfBid: oob}
 	})
 	if err == nil {
@@ -237,6 +223,40 @@ func RunDeterministic(cfg *ExecConfig, bids []float64) (*Outcome, error) {
 // never out of bid; future stages hedge against the λ-priced out-of-bid
 // states.
 func RunStochastic(cfg *ExecConfig, bids []float64) (*Outcome, error) {
+	return runRolling(context.Background(), cfg, bids, max(cfg.Replan, 1), false)
+}
+
+// RunStochasticEvents evaluates the SRRP spot policy with event-driven
+// re-plans instead of a fixed stride: a plan is followed until the realised
+// price crosses the bid (the in-bid/out-of-bid regime its tree was built
+// around flips) or the executed path reaches past a leaf of its tree, so
+// slots between those events cost no solve. ExecConfig.Replan is ignored;
+// everything else (budget ladder, faults, tree shape) behaves as in
+// RunStochastic, and on a trace whose price never crosses the bid the
+// result equals RunStochastic's with Replan = TreeStages+1.
+func RunStochasticEvents(cfg *ExecConfig, bids []float64) (*Outcome, error) {
+	return runRolling(context.Background(), cfg, bids, math.MaxInt, true)
+}
+
+// RunStochasticEventsCtx is RunStochasticEvents under a caller context: each
+// re-plan solve runs under ctx (layered with cfg.Budget when set), and a
+// cancellation aborts the run with ctx's error instead of silently degrading
+// every remaining slot. With ctx == context.Background() the result is
+// bit-identical to RunStochasticEvents.
+func RunStochasticEventsCtx(ctx context.Context, cfg *ExecConfig, bids []float64) (*Outcome, error) {
+	return runRolling(ctx, cfg, bids, math.MaxInt, true)
+}
+
+// runRolling is the rolling-horizon loop of the stochastic policy (Sec. V):
+// re-plan at the current slot on the bid-adjusted tree rooted there,
+// execute the decisions of the vertices the realised prices walk through
+// (Follow), and re-plan at slot t when stride slots have passed since the
+// plan's root, when onCross is set and the realised price crossed the bid
+// between t-1 and t, when the path would leave the plan's tree, or when the
+// last re-plan failed. A slot without a plan is served just in time. Every
+// re-plan solves under ctx; once ctx is done the remaining slots are served
+// just in time and the run fails with ctx's error.
+func runRolling(ctx context.Context, cfg *ExecConfig, bids []float64, stride int, onCross bool) (*Outcome, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -250,85 +270,76 @@ func RunStochastic(cfg *ExecConfig, bids []float64) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	stride := cfg.Replan
-	if stride <= 0 {
-		stride = 1
-	}
-	lookahead := cfg.TreeStages
-	if lookahead < 0 {
-		lookahead = 0
-	}
-	T := len(cfg.Demand)
 	var plan *StochasticPlan
-	var planStart int  // slot of the plan's root
-	var planPath []int // executed vertex path within the plan's tree
+	var planStart int // slot of the plan's root
+	var path []int    // executed vertex path within the plan's tree
 	var degs []Degradation
-	replanAt := 0
 	replans := 0
+	aborted := false
+	lost := func(t int) bool { return bids[t] < cfg.Actual[t] }
+	at := func(k int) (float64, float64) { return cfg.Actual[planStart+k], bids[planStart+k] }
+	// replan solves at slot t, through the degradation ladder when cfg arms
+	// it; nil serves the slot just in time and re-plans at the next.
+	replan := func(t int, inv float64) *StochasticPlan {
+		replans++
+		stages := cfg.lookahead(t)
+		if !cfg.degradable() {
+			p, err := planStochastic(ctx, cfg, bids, t, stages, inv)
+			if err != nil {
+				return nil
+			}
+			return p
+		}
+		p, rung := planStochasticLadder(ctx, cfg, bids, t, stages, inv)
+		if rung != RungFull {
+			degs = append(degs, Degradation{Slot: t, Rung: rung})
+		}
+		return p
+	}
 	out, outErr := execute(cfg, func(t int, inv float64) decision {
-		if t >= replanAt || plan == nil {
-			stages := lookahead
-			if t+stages >= T {
-				stages = T - 1 - t
-			}
-			replans++
-			if cfg.degradable() {
-				var rung DegradeRung
-				plan, rung = planStochasticLadder(context.Background(), cfg, bids, t, stages, inv)
-				if rung != RungFull {
-					degs = append(degs, Degradation{Slot: t, Rung: rung})
-				}
-				if plan == nil {
-					// Bottom rung: serve this slot just in time and retry
-					// planning at the next.
-					replanAt = t + 1
-					need := math.Max(0, cfg.Demand[t]-inv)
-					return decision{rent: need > 0, alpha: need, payRate: cfg.Actual[t]}
-				}
-			} else {
-				var err2 error
-				plan, err2 = planStochastic(context.Background(), cfg, bids, t, stages, inv)
-				if err2 != nil || plan == nil {
-					// Defensive fallback: just-in-time rental at the spot price.
-					plan = nil
-					replanAt = t + 1
-					need := math.Max(0, cfg.Demand[t]-inv)
-					return decision{rent: need > 0, alpha: need, payRate: cfg.Actual[t]}
-				}
-			}
-			planStart = t
-			planPath = []int{0}
-			replanAt = t + stride
+		if aborted = aborted || ctx.Err() != nil; aborted {
+			return justInTime(cfg, t, inv)
 		}
-		// Advance along the tree path matching the realised prices.
 		k := t - planStart
-		for len(planPath) <= k {
-			v := planPath[len(planPath)-1]
-			next := matchChild(plan.Tree, v, cfg.Actual[planStart+len(planPath)], bids[planStart+len(planPath)], lambda)
-			if next < 0 {
-				// Horizon exhausted: force a replan at this slot.
-				plan = nil
-				replanAt = t
-				need := math.Max(0, cfg.Demand[t]-inv)
-				return decision{rent: need > 0, alpha: need, payRate: cfg.Actual[t]}
+		crossed := onCross && t > 0 && lost(t) != lost(t-1)
+		ok := plan != nil && k < stride && !crossed
+		if ok {
+			path, ok = plan.Follow(path, k, at)
+		}
+		if !ok {
+			if plan = replan(t, inv); plan == nil {
+				return justInTime(cfg, t, inv)
 			}
-			planPath = append(planPath, next)
+			planStart, path, k = t, append(path[:0], 0), 0
 		}
-		v := planPath[k]
-		rate := cfg.Actual[t]
-		oob := false
-		if k > 0 && bids[t] < cfg.Actual[t] {
-			rate = lambda // recourse stage lost the auction
-			oob = true
+		v := path[k]
+		if k > 0 && lost(t) {
+			// A recourse stage that lost the auction runs on demand.
+			return decision{rent: plan.Chi[v], alpha: plan.Alpha[v], payRate: lambda, outOfBid: true}
 		}
-		return decision{rent: plan.Chi[v], alpha: plan.Alpha[v], payRate: rate, outOfBid: oob}
+		return decision{rent: plan.Chi[v], alpha: plan.Alpha[v], payRate: cfg.Actual[t]}
 	})
+	if aborted {
+		return nil, ctx.Err()
+	}
 	if outErr == nil {
 		out.Replans = replans
 		out.Degradations = degs
 	}
 	return out, outErr
 }
+
+// justInTime serves slot t without a plan: it produces exactly what the
+// inventory lacks, renting at the slot's spot price only when that is more
+// than zero.
+func justInTime(cfg *ExecConfig, t int, inv float64) decision {
+	need := math.Max(0, cfg.Demand[t]-inv)
+	return decision{rent: need > 0, alpha: need, payRate: cfg.Actual[t]}
+}
+
+// lookahead is the number of tree stages a re-plan at slot t builds:
+// TreeStages, at least 0 and cut at the end of the horizon.
+func (c *ExecConfig) lookahead(t int) int { return max(0, min(c.TreeStages, len(c.Demand)-1-t)) }
 
 // planStochastic builds (through cfg.BuildTree when set) the bid-adjusted
 // tree rooted at slot t and solves SRRP with the current inventory as ε.
@@ -365,8 +376,8 @@ func planStochastic(ctx context.Context, cfg *ExecConfig, bids []float64, t, sta
 
 // matchChild finds the child of v whose state corresponds to the realised
 // price: the out-of-bid child when the bid lost, otherwise the kept state
-// with the closest price.
-func matchChild(tr *scenario.Tree, v int, actual, bid, lambda float64) int {
+// with the closest price; -1 when v is a leaf.
+func matchChild(tr *scenario.Tree, v int, actual, bid float64) int {
 	best, bestDist := -1, math.Inf(1)
 	lost := bid < actual
 	for c := v + 1; c < tr.N(); c++ {

@@ -22,8 +22,9 @@ import (
 //	RungOnDemand  — even the DP failed; fall back to just-in-time rental for
 //	                one slot and retry planning at the next.
 //
-// Without a budget and injector the executor takes the historical code path
-// untouched, so results are bit-identical to earlier releases.
+// Without a budget and injector the rolling loop does not arm the ladder
+// (degradable, checked at every re-plan): a failed solve serves the slot
+// just in time.
 
 // DegradeRung identifies a rung of the planning degradation ladder.
 type DegradeRung int8

@@ -118,7 +118,6 @@ func TestMatchChildBidBoundary(t *testing.T) {
 		Price:    []float64{0.04, 0.05, 0.12},
 		OutOfBid: []bool{false, false, true},
 	}
-	const lambda = 0.12
 	cases := []struct {
 		name        string
 		actual, bid float64
@@ -129,7 +128,7 @@ func TestMatchChildBidBoundary(t *testing.T) {
 		{"bid below price: out of bid", 0.0500001, 0.05, 2},
 	}
 	for _, tc := range cases {
-		if got := matchChild(tr, 0, tc.actual, tc.bid, lambda); got != tc.want {
+		if got := matchChild(tr, 0, tc.actual, tc.bid); got != tc.want {
 			t.Errorf("%s: matchChild(actual=%v, bid=%v) = %d, want %d",
 				tc.name, tc.actual, tc.bid, got, tc.want)
 		}

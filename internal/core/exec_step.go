@@ -7,12 +7,13 @@ import (
 )
 
 // This file exports the single-step planning surface the serve layer (and
-// any other long-running caller) builds rolling-horizon tenants from. The
-// batch executors in exec.go replay a whole price trace in one call; a
-// server instead receives one slot's worth of state per request and needs
-// exactly one budgeted re-plan at a time, with the caller's context — not
-// context.Background() — threaded into the solve so client disconnects and
-// per-request deadlines abort it.
+// any other long-running caller) builds rolling-horizon tenants from: one
+// re-plan (PlanStochasticStepCtx) and the walk along a plan between
+// re-plans (Follow). The batch executors in exec.go replay a whole price
+// trace in one call; a server instead receives one slot's worth of state
+// per request and needs exactly one budgeted re-plan at a time, with the
+// caller's context — not context.Background() — threaded into the solve so
+// client disconnects and per-request deadlines abort it.
 
 // PlanStochasticStepCtx runs one rolling-horizon SRRP re-plan through the
 // degradation ladder: a scenario tree is built from cfg.Base and the bids,
@@ -41,13 +42,7 @@ func PlanStochasticStepCtx(ctx context.Context, cfg *ExecConfig, bids []float64,
 	if !isFinite(inv) || inv < 0 {
 		return nil, RungOnDemand, fmt.Errorf("core: inventory %v not a finite non-negative number", inv)
 	}
-	stages := cfg.TreeStages
-	if stages < 0 {
-		stages = 0
-	}
-	if t+stages >= len(cfg.Demand) {
-		stages = len(cfg.Demand) - 1 - t
-	}
+	stages := cfg.lookahead(t)
 	if stages > 0 && cfg.Base.Len() == 0 {
 		return nil, RungOnDemand, errors.New("core: stochastic planning needs a base distribution")
 	}
@@ -55,16 +50,23 @@ func PlanStochasticStepCtx(ctx context.Context, cfg *ExecConfig, bids []float64,
 	return plan, rung, nil
 }
 
-// MatchChild returns the child of vertex v in the plan's tree whose state
-// corresponds to the realised price: the out-of-bid child when bid < actual,
-// otherwise the kept state with the closest price; -1 when v has no
-// children (the plan's horizon is exhausted and the caller must re-plan).
-// It lets a caller that executes a plan slot by slot — the serve layer's
-// per-tenant rolling replans — advance along the same tree path the batch
-// executor would follow.
-func (p *StochasticPlan) MatchChild(v int, actual, bid, lambda float64) int {
-	if p == nil || p.Tree == nil || v < 0 || v >= p.Tree.N() {
-		return -1
+// Follow extends the executed vertex path through the plan's tree to stage
+// k. path[j] is the vertex of stage j and path[0] the root (0); each new
+// stage j takes the child of path[j-1] whose state matches the realised
+// price and bid that at(j) reports: the out-of-bid child when the bid lost,
+// otherwise the kept state with the closest price. Follow returns the
+// extended path, and false with the path as far as it got when stage k lies
+// past a leaf or at a vertex the plan holds no decisions for (a plan whose
+// Alpha and Chi keep only a prefix of the tree's vertices). The batch
+// executors and the serve layer's rolling tenants walk their plans with it.
+func (p *StochasticPlan) Follow(path []int, k int, at func(stage int) (actual, bid float64)) ([]int, bool) {
+	for len(path) <= k {
+		actual, bid := at(len(path))
+		next := matchChild(p.Tree, path[len(path)-1], actual, bid)
+		if next < 0 || next >= len(p.Alpha) {
+			return path, false
+		}
+		path = append(path, next)
 	}
-	return matchChild(p.Tree, v, actual, bid, lambda)
+	return path, true
 }

@@ -51,17 +51,21 @@ func TestPlanStochasticStepMatchesBatch(t *testing.T) {
 		}
 	}
 
-	// MatchChild must agree with the unexported tree walker.
-	lambda, _ := cfg.Par.OnDemandRate()
-	if got, want := plan.MatchChild(0, 0.058, bids[1], lambda), matchChild(plan.Tree, 0, 0.058, bids[1], lambda); got != want {
-		t.Fatalf("MatchChild = %d, want %d", got, want)
+	// Follow takes the child matchChild picks, stops past a leaf, and stops
+	// at the vertices a plan keeps decisions for.
+	at := func(int) (float64, float64) { return 0.058, bids[1] }
+	path, ok := plan.Follow([]int{0}, 1, at)
+	if want := matchChild(plan.Tree, 0, 0.058, bids[1]); !ok || len(path) != 2 || path[1] != want {
+		t.Fatalf("Follow to stage 1 = %v, %v; want [0 %d], true", path, ok, want)
 	}
-	if plan.MatchChild(plan.Tree.N()-1, 0.06, bids[1], lambda) != -1 {
-		t.Fatal("leaf must have no child")
+	path, ok = plan.Follow(path, cfg.TreeStages+1, at)
+	if ok || len(path) != cfg.TreeStages+1 || plan.Tree.Stage[path[cfg.TreeStages]] != cfg.TreeStages {
+		t.Fatalf("Follow past the leaves = %v, %v; want a path to a leaf and false", path, ok)
 	}
-	var nilPlan *StochasticPlan
-	if nilPlan.MatchChild(0, 0.06, 0.06, lambda) != -1 {
-		t.Fatal("nil plan must return -1")
+	kept := *plan
+	kept.Alpha, kept.Chi = plan.Alpha[:1], plan.Chi[:1]
+	if path, ok = kept.Follow([]int{0}, 1, at); ok || len(path) != 1 {
+		t.Fatalf("Follow past the kept root = %v, %v; want [0], false", path, ok)
 	}
 }
 

@@ -33,7 +33,7 @@ func TestSRRPRootBasisReuse(t *testing.T) {
 		t.Fatal("MILP path published no root basis")
 	}
 
-	par2 := par.Clone()
+	par2 := par
 	par2.Solver.RootBasis = first.RootBasis
 	second, err := SolveSRRP(par2, tr, dem)
 	if err != nil {

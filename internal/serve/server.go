@@ -288,14 +288,7 @@ func (s *Server) solveSRRP(ctx context.Context, req *PlanRequest, budget time.Du
 
 func (s *Server) solveStep(ctx context.Context, req *PlanRequest, budget time.Duration) (*PlanResponse, error) {
 	par := req.params()
-	lambda, err := par.OnDemandRate()
-	if err != nil {
-		return nil, err
-	}
-	stride := req.Replan
-	if stride <= 0 {
-		stride = 1
-	}
+	stride := max(req.Replan, 1)
 	tn := s.tenants.get(req.Tenant)
 	tn.mu.Lock()
 	defer tn.mu.Unlock()
@@ -303,7 +296,7 @@ func (s *Server) solveStep(ctx context.Context, req *PlanRequest, budget time.Du
 	// Warm path: serve the slot from the tenant's previous plan when it is
 	// still inside the rolling stride and the realised price maps onto the
 	// plan's tree.
-	if v := tn.decisionFromPlan(req.Slot, stride, req.RootPrice, req.Bid, lambda); v >= 0 {
+	if v := tn.decisionFromPlan(req.Slot, stride, req.RootPrice, req.Bid); v >= 0 {
 		s.mPlanReuse.Inc()
 		s.countPlan(req.Model, core.RungFull)
 		plan := &tn.plan
@@ -321,11 +314,10 @@ func (s *Server) solveStep(ctx context.Context, req *PlanRequest, budget time.Du
 	cfg := &core.ExecConfig{
 		Par:        par,
 		Actual:     constants(T, req.RootPrice),
-		Demand:     append([]float64(nil), req.Demand...),
+		Demand:     req.Demand,
 		Base:       req.base(),
 		TreeStages: req.Stages,
 		MaxBranch:  req.MaxBranch,
-		Replan:     stride,
 		Budget:     budget, // feeds the degradation ladder
 		BuildTree: func(base stats.Discrete, bids []float64, lambda float64, bc scenario.BuildConfig) (*scenario.Tree, error) {
 			entry, _, err := s.tree(req, base, bids, lambda, bc)

@@ -67,14 +67,9 @@ func (o *privateDaemon) answer(t *testing.T, req *PlanRequest) PlanResponse {
 		o.tenants[req.Tenant] = tn
 	}
 	if tn.plan != nil && req.Slot >= tn.planStart && req.Slot < tn.planStart+stride {
-		k, ok := req.Slot-tn.planStart, true
-		for ok && len(tn.path) <= k {
-			next := tn.plan.MatchChild(tn.path[len(tn.path)-1], req.RootPrice, req.Bid, lambda)
-			if ok = next >= 0; ok {
-				tn.path = append(tn.path, next)
-			}
-		}
-		if ok {
+		k := req.Slot - tn.planStart
+		var ok bool
+		if tn.path, ok = tn.plan.Follow(tn.path, k, func(int) (float64, float64) { return req.RootPrice, req.Bid }); ok {
 			v := tn.path[k]
 			rent, gen := tn.plan.Chi[v], tn.plan.Alpha[v]
 			return PlanResponse{Cost: tn.plan.ExpCost, Rent: &rent, Generate: &gen, Rung: core.RungFull.String(),
@@ -84,7 +79,7 @@ func (o *privateDaemon) answer(t *testing.T, req *PlanRequest) PlanResponse {
 	T := len(req.Demand)
 	cfg := &core.ExecConfig{
 		Par: par, Actual: constants(T, req.RootPrice), Demand: req.Demand, Base: req.base(),
-		TreeStages: req.Stages, MaxBranch: req.MaxBranch, Replan: stride,
+		TreeStages: req.Stages, MaxBranch: req.MaxBranch,
 	}
 	stages := min(req.Stages, T-1-req.Slot)
 	if par.Capacitated() && tn.basis != nil && tn.basisFor == stages {

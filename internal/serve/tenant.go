@@ -67,27 +67,21 @@ func (ts *tenants) len() int {
 // decisionFromPlan tries to serve the decision for slot t from the
 // tenant's current plan without a new solve: the plan must be rooted at or
 // before t, within the request's rolling stride, and the realised prices
-// must map onto a tree path (MatchChild at every slot since the root) that
-// stays inside the stride the plan was made for, the vertices whose
-// decisions the tenant kept. It returns the plan vertex for slot t, or -1
-// when a re-plan is needed. Callers hold t.mu.
-func (t *tenant) decisionFromPlan(slot, stride int, actual, bid, lambda float64) int {
+// must map onto a tree path (Follow from the plan's root) that stays inside
+// the stride the plan was made for, the vertices whose decisions the tenant
+// kept. It returns the plan vertex for slot t, or -1 when a re-plan is
+// needed. Callers hold t.mu.
+func (t *tenant) decisionFromPlan(slot, stride int, actual, bid float64) int {
 	if t.plan.Tree == nil || slot < t.planStart || slot >= t.planStart+stride {
 		return -1
 	}
 	k := slot - t.planStart
-	for len(t.path) <= k {
-		v := t.path[len(t.path)-1]
-		// Every intermediate slot advances with the same realised price the
-		// request reports for the current slot's root; in the common
-		// one-slot stride the loop runs at most once.
-		next := t.plan.MatchChild(v, actual, bid, lambda)
-		if next < 0 || next >= len(t.plan.Alpha) {
-			// Horizon exhausted, or a stage past the stride the plan was
-			// kept for: force a re-plan.
-			return -1
-		}
-		t.path = append(t.path, next)
+	// Every intermediate slot advances with the same realised price the
+	// request reports for the current slot's root; in the common one-slot
+	// stride Follow takes at most one step.
+	var ok bool
+	if t.path, ok = t.plan.Follow(t.path, k, func(int) (float64, float64) { return actual, bid }); !ok {
+		return -1
 	}
 	return t.path[k]
 }
